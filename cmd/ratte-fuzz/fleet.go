@@ -40,12 +40,6 @@ func fleetServe(o adhocOptions) {
 	if err != nil {
 		fatal(err)
 	}
-	if o.coverage {
-		// The coordinator folds merged verdict summaries into this
-		// accumulator and exports the fleet coverage gauges, per-site
-		// counters, and the /status growth curve from it.
-		cfg.Coverage = difftest.NewCampaignCoverage(nil)
-	}
 
 	var journal *difftest.Journal
 	if o.resume && o.journal == "" {
@@ -175,11 +169,6 @@ func fleetWork(o adhocOptions) {
 	cfg, _, err := buildCampaign(o)
 	if err != nil {
 		fatal(err)
-	}
-	if o.coverage {
-		// A non-nil accumulator tells the worker to record coverage per
-		// shard and attach the union to each upload's snapshot line.
-		cfg.Coverage = difftest.NewCampaignCoverage(nil)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

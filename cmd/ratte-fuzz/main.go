@@ -468,16 +468,13 @@ func buildCampaign(o adhocOptions) (difftest.CampaignConfig, bugs.Set, error) {
 		FamilySize: o.family,
 		Batched:    o.batched,
 	}
-	if o.coverage && o.family > 0 {
+	if o.coverage && o.family > 1 {
 		// Family mode shares one generated program across the family and
 		// runs its pipeline uncovered; a coverage flag there would record
 		// nothing and mislead.
 		return difftest.CampaignConfig{}, nil, errors.New("-coverage is not supported with -family campaigns")
 	}
 	if o.fuzzPipelines > 0 {
-		if o.family > 0 {
-			return difftest.CampaignConfig{}, nil, errors.New("-fuzz-pipelines and -family are mutually exclusive")
-		}
 		plans, err := compiler.SamplePlans(o.preset, o.fuzzPipelines, o.planSeed)
 		if err != nil {
 			return difftest.CampaignConfig{}, nil, err
@@ -492,6 +489,19 @@ func buildCampaign(o adhocOptions) (difftest.CampaignConfig, bugs.Set, error) {
 				faultinject.KindError, faultinject.KindPanic, faultinject.KindDelay,
 			},
 		}
+	}
+	if o.coverage {
+		// A private accumulator: the coordinator folds merged verdict
+		// summaries into it, a worker takes it as the signal to record
+		// coverage per shard, and adhoc swaps in one on its telemetry
+		// registry when it has one.
+		cfg.Coverage = difftest.NewCampaignCoverage(nil)
+	}
+	// The library rejects contradictory knobs (-family with
+	// -fuzz-pipelines, -fault-rate or -timeout-per-program; -batched
+	// without -family) before any journal or listener exists.
+	if _, err := difftest.CampaignFingerprint(cfg); err != nil {
+		return difftest.CampaignConfig{}, nil, err
 	}
 	return cfg, bugSet, nil
 }
@@ -551,13 +561,9 @@ func adhoc(o adhocOptions) {
 	// Coverage rides the telemetry registry when one exists, so the
 	// per-site counters show up on -metrics-addr / -metrics-dump; with
 	// neither it accumulates privately for the -coverage-dump file.
-	var cov *difftest.CampaignCoverage
-	if o.coverage {
-		var reg *telemetry.Registry
-		if tel != nil {
-			reg = tel.Registry
-		}
-		cov = difftest.NewCampaignCoverage(reg)
+	cov := cfg.Coverage
+	if cov != nil && tel != nil {
+		cov = difftest.NewCampaignCoverage(tel.Registry)
 		cfg.Coverage = cov
 	}
 	var metricsSrv *telemetry.Server

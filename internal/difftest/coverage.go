@@ -7,15 +7,15 @@
 // nil check per instrumentation point.
 //
 // The union is folded from each verdict's name-keyed summary
-// (Verdict.Coverage) at the exact points the engines sequence
-// verdicts, never from live maps. That makes the union a pure function
+// (Verdict.Coverage) in the campaign engine's sequencer, never from
+// live maps. That makes the union a pure function
 // of the sequenced verdicts: a resumed campaign (whose journal lines
 // carry the summaries) and a fleet coordinator (whose shards upload
 // them) reconstruct the identical union.
 //
 // Family mode is excluded: batched families share one generated
 // program across members, so a per-member map would double-count the
-// shared work; the engines simply do not allocate seed maps there.
+// shared work; runFamily simply does not allocate seed maps.
 package difftest
 
 import (
@@ -61,8 +61,8 @@ func (c *CampaignCoverage) newSeedMap() *coverage.Map {
 }
 
 // onVerdict folds one sequenced verdict's coverage summary into the
-// union. Both engines (and AssembleResult) call it exactly where they
-// record the verdict, beside CampaignTelemetry.onVerdict.
+// union. The sequencer calls it exactly where it records the verdict,
+// beside CampaignTelemetry.onVerdict.
 func (c *CampaignCoverage) onVerdict(v Verdict) {
 	if c == nil || len(v.Coverage) == 0 {
 		return

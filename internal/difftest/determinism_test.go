@@ -5,19 +5,24 @@ import (
 	"testing"
 
 	"ratte/internal/bugs"
+	"ratte/internal/compiler"
 	"ratte/internal/difftest"
 	"ratte/internal/gen"
-	"ratte/internal/ir"
 )
 
-// TestCrossEngineDeterminism asserts the parallel campaign engine is a
-// drop-in replacement for the serial one: for every preset, worker
-// count and StopAtFirst mode, RunCampaignParallel must produce a result
-// identical to RunCampaign — same program count, same detections (seed,
-// oracle, program text, expected output, per-configuration report) and
-// same oracle tallies. Bugs are injected so detections actually occur
-// and the detection paths are exercised, not just the empty case.
+// TestCrossEngineDeterminism asserts the campaign engine's result does
+// not depend on its worker count: for every preset, campaign mode
+// (classic, batched family, plan), worker count and StopAtFirst mode,
+// RunCampaignParallel must produce a result identical to RunCampaign —
+// same program count, same detections (seed, oracle, program text,
+// expected output, per-configuration report), same oracle tallies and
+// same verdicts. Bugs are injected so detections actually occur and
+// the detection paths are exercised, not just the empty case.
 func TestCrossEngineDeterminism(t *testing.T) {
+	plans, err := compiler.SamplePlans("ariths", 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		cfg  difftest.CampaignConfig
@@ -31,6 +36,11 @@ func TestCrossEngineDeterminism(t *testing.T) {
 		// with this configuration, so StopAtFirst cancels a pipeline
 		// that is already deep into speculative work.
 		{"ariths_bug7_late", difftest.CampaignConfig{Preset: "ariths", Programs: 24, Size: 16, Seed: 97, Bugs: bugs.Only(bugs.FloorDivSiExpand)}},
+		// Batched mutation families: the unit of work is a family of 4
+		// seeds, and StopAtFirst can fire mid-family.
+		{"ariths_family4_bug3", difftest.CampaignConfig{Preset: "ariths", Programs: 24, Size: 16, Seed: 97, Bugs: bugs.Only(bugs.RemoveDeadValuesCall), FamilySize: 4, Batched: true}},
+		// Plan mode: every program under 4 sampled compilation plans.
+		{"ariths_plans4_bug7", difftest.CampaignConfig{Preset: "ariths", Programs: 24, Size: 16, Seed: 200, Bugs: bugs.Only(bugs.FloorDivSiExpand), Plans: plans}},
 	}
 	for _, tc := range cases {
 		for _, stop := range []bool{false, true} {
@@ -57,41 +67,12 @@ func TestCrossEngineDeterminism(t *testing.T) {
 }
 
 // assertSameResult compares two campaign results field by field,
-// including the detected programs' printed text and the full
-// per-configuration reports.
+// including the detected programs' printed text, the full
+// per-configuration (or per-plan) reports and the verdict streams.
 func assertSameResult(t *testing.T, workers int, serial, parallel *difftest.CampaignResult) {
 	t.Helper()
-	if serial.Programs != parallel.Programs {
-		t.Errorf("workers=%d: programs: serial %d, parallel %d", workers, serial.Programs, parallel.Programs)
-	}
-	if len(serial.Detections) != len(parallel.Detections) {
-		t.Fatalf("workers=%d: detections: serial %d, parallel %d", workers, len(serial.Detections), len(parallel.Detections))
-	}
-	for i := range serial.Detections {
-		s, p := serial.Detections[i], parallel.Detections[i]
-		if s.Seed != p.Seed || s.Oracle != p.Oracle || s.Expected != p.Expected {
-			t.Errorf("workers=%d: detection %d: serial (seed %d, %s), parallel (seed %d, %s)",
-				workers, i, s.Seed, s.Oracle, p.Seed, p.Oracle)
-		}
-		if ir.Print(s.Program) != ir.Print(p.Program) {
-			t.Errorf("workers=%d: detection %d: program text differs", workers, i)
-		}
-		for _, bc := range difftest.BuildConfigs {
-			sl, pl := s.Report.Levels[bc], p.Report.Levels[bc]
-			if sl.Output != pl.Output ||
-				(sl.CompileErr == nil) != (pl.CompileErr == nil) ||
-				(sl.RunErr == nil) != (pl.RunErr == nil) {
-				t.Errorf("workers=%d: detection %d: report for %s differs", workers, i, bc)
-			}
-		}
-	}
-	if len(serial.ByOracle) != len(parallel.ByOracle) {
-		t.Errorf("workers=%d: byOracle: serial %v, parallel %v", workers, serial.ByOracle, parallel.ByOracle)
-	}
-	for o, n := range serial.ByOracle {
-		if parallel.ByOracle[o] != n {
-			t.Errorf("workers=%d: oracle %s: serial %d, parallel %d", workers, o, n, parallel.ByOracle[o])
-		}
+	if d := difftest.DiffResults(serial, parallel); d != "" {
+		t.Errorf("workers=%d: parallel differs from serial: %s", workers, d)
 	}
 }
 

@@ -13,7 +13,7 @@
 package difftest
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -79,31 +79,46 @@ type Report struct {
 // instantiated over the memoized dialect registry. The outcome per
 // configuration is identical to compiling each from scratch.
 func TestModule(m *ir.Module, reference, preset string, bugSet bugs.Set) *Report {
-	return testModuleConfigs(m, reference, preset, bugSet, BuildConfigs)
+	outs := compiler.CompileConfigs(m, preset, bugSet, BuildConfigs)
+	return newReport(preset, reference, interpretAll(outs, runMain))
 }
 
-func testModuleConfigs(m *ir.Module, reference, preset string, bugSet bugs.Set, configs []BuildConfig) *Report {
+// newReport assembles a Report from one LevelResult per BuildConfigs
+// entry, in BuildConfigs order.
+func newReport(preset, reference string, lrs []LevelResult) *Report {
 	rep := &Report{
 		Preset:    preset,
 		Reference: reference,
-		Levels:    make(map[BuildConfig]LevelResult, len(configs)),
+		Levels:    make(map[BuildConfig]LevelResult, len(BuildConfigs)),
 	}
-	outs := compiler.CompileConfigs(m, preset, bugSet, configs)
-	for i, bc := range configs {
-		var lr LevelResult
-		if outs[i].Err != nil {
-			lr.CompileErr = outs[i].Err
-		} else {
-			res, err := dialects.NewExecutor().Run(outs[i].Module, "main")
-			if err != nil {
-				lr.RunErr = err
-			} else {
-				lr.Output = res.Output
-			}
-		}
-		rep.Levels[bc] = lr
+	for i, bc := range BuildConfigs {
+		rep.Levels[bc] = lrs[i]
 	}
 	return rep
+}
+
+// interpretAll runs every successfully compiled output through run and
+// passes every compile error through, one LevelResult per output.
+func interpretAll(outs []compiler.ConfigResult, run func(i int, m *ir.Module) (*interp.Result, error)) []LevelResult {
+	lrs := make([]LevelResult, len(outs))
+	for i, out := range outs {
+		if out.Err != nil {
+			lrs[i].CompileErr = out.Err
+			continue
+		}
+		res, err := run(i, out.Module)
+		if err != nil {
+			lrs[i].RunErr = err
+		} else {
+			lrs[i].Output = res.Output
+		}
+	}
+	return lrs
+}
+
+// runMain runs a compiled module's main on a fresh executor.
+func runMain(_ int, m *ir.Module) (*interp.Result, error) {
+	return dialects.NewExecutor().Run(m, "main")
 }
 
 // NC reports whether the non-crash oracle fires: a compile-time
@@ -208,17 +223,17 @@ type CampaignConfig struct {
 	// hoists main's scalar constants into entry arguments, and tests
 	// every member on its own argument vector (member 0 replays the
 	// original constants; later members mutate them deterministically
-	// from their seeds). Family mode requires fault-free, unbounded
-	// attempts: with Faults or Timeout configured it is ignored and
-	// the classic per-seed campaign runs.
+	// from their seeds). Family mode shares stages across members, so
+	// it cannot be combined with Faults, Timeout or Plans, and it runs
+	// without coverage (see coverage.go).
 	FamilySize int
 	// Batched selects the shared-work execution strategy for family
 	// mode: one verify, one pass-pipeline compilation per build
 	// configuration and one interp.Compile per compiled configuration
 	// for the whole family, with members run through RunProgramArgs.
 	// Batched is purely an execution strategy — verdicts, journals and
-	// ReportText are byte-identical with it on or off — and has no
-	// effect outside family mode.
+	// ReportText are byte-identical with it on or off — and requires
+	// FamilySize > 1.
 	Batched bool
 	// Telemetry, when non-nil, receives stage spans, verdict counters,
 	// generator coverage and cache/journal gauges as the campaign runs
@@ -232,17 +247,44 @@ type CampaignConfig struct {
 	// generator, compiler and interpreter, its summary rides the
 	// seed's Verdict (and journal line), and the sequenced summaries
 	// fold into a campaign-wide union (see NewCampaignCoverage).
-	// Observation-only, exactly like Telemetry; family mode ignores it
-	// (see coverage.go).
+	// Observation-only, exactly like Telemetry; family mode collects
+	// none (see coverage.go).
 	Coverage *CampaignCoverage
 	// Plans, when non-empty, switches the campaign to plan mode (the
 	// -fuzz-pipelines flag): every program is tested under these
 	// sampled legal compilation plans instead of the fixed build
 	// configurations, with DT-P joining the oracle set. Plans must all
 	// share cfg.Preset and pass compiler.ValidatePlan. Plan mode and
-	// family mode are mutually exclusive; with Plans set, FamilySize
-	// is ignored.
+	// family mode are mutually exclusive.
 	Plans []compiler.Plan
+}
+
+// validate rejects configurations whose knobs contradict each other,
+// instead of silently ignoring one of them. Every campaign entry point
+// and CampaignFingerprint call it.
+func (cfg *CampaignConfig) validate() error {
+	if cfg.FamilySize > 1 {
+		knob := ""
+		switch {
+		case len(cfg.Plans) > 0:
+			knob = "Plans"
+		case cfg.Faults != nil:
+			knob = "Faults"
+		case cfg.Timeout != 0:
+			knob = "Timeout"
+		}
+		if knob != "" {
+			return fmt.Errorf("difftest: family mode (FamilySize %d) cannot be combined with %s", cfg.FamilySize, knob)
+		}
+	} else if cfg.Batched {
+		return errors.New("difftest: Batched requires family mode (FamilySize > 1)")
+	}
+	for _, p := range cfg.Plans {
+		if p.Preset != cfg.Preset {
+			return fmt.Errorf("difftest: plan %s is for preset %q, not the campaign's %q", p.Key(), p.Preset, cfg.Preset)
+		}
+	}
+	return nil
 }
 
 // Detection records one detected difference. Exactly one of Report
@@ -293,19 +335,9 @@ func newCampaignResult() *CampaignResult {
 	return &CampaignResult{ByOracle: make(map[Oracle]int)}
 }
 
-// notePlans stamps the plan-set identity onto the result (no-op
-// outside plan mode). Both engines call it before recording verdicts.
-func (res *CampaignResult) notePlans(cfg *CampaignConfig) {
-	if len(cfg.Plans) == 0 {
-		return
-	}
-	res.Plans = len(cfg.Plans)
-	res.PlanSet = compiler.PlanSetFingerprint(cfg.Plans)
-}
-
 // record folds one verdict (and its detection, if any) into the
-// result, replaying exactly the serial loop's accounting. It reports
-// whether the verdict is a detection (the StopAtFirst trigger).
+// result. It reports whether the verdict is a detection (the
+// StopAtFirst trigger). The sequencer is its only caller.
 func (res *CampaignResult) record(v Verdict, det *Detection) bool {
 	res.Programs++
 	res.Verdicts = append(res.Verdicts, v)
@@ -339,65 +371,6 @@ func (res *CampaignResult) record(v Verdict, det *Detection) bool {
 		}
 	}
 	return true
-}
-
-// RunCampaign generates Programs programs with Ratte's semantics-guided
-// generator and differentially tests each one.
-func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
-	return RunCampaignCtx(context.Background(), cfg)
-}
-
-// RunCampaignCtx is RunCampaign under a caller context: cancelling ctx
-// (a signal handler, a test deadline) stops the campaign after the
-// in-flight seed and returns the partial result together with
-// ctx.Err(), with every completed verdict already journaled — the
-// partial run is resumable via CampaignConfig.Resumed.
-func RunCampaignCtx(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
-	cfg.Telemetry.begin(cfg.Programs)
-	cfg.Telemetry.attachJournal(cfg.Journal)
-	cfg.Telemetry.attachPlans(cfg.Plans)
-	if familyActive(&cfg) {
-		return runCampaignFamilies(ctx, cfg)
-	}
-	res := newCampaignResult()
-	res.notePlans(&cfg)
-	for i := 0; i < cfg.Programs; i++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		seed := cfg.Seed + int64(i)
-		if v, ok := cfg.Resumed[seed]; ok {
-			isDetection := res.record(v, nil)
-			cfg.Telemetry.onVerdict(v)
-			cfg.Coverage.onVerdict(v)
-			if isDetection && cfg.StopAtFirst {
-				return res, nil
-			}
-			continue
-		}
-		out := runSeed(ctx, &cfg, seed)
-		if out.genErr != nil {
-			return nil, fmt.Errorf("difftest: generation failed: %w", out.genErr)
-		}
-		if out.aborted {
-			return res, ctx.Err()
-		}
-		isDetection := res.record(out.verdict, out.detection)
-		cfg.Telemetry.onVerdict(out.verdict)
-		cfg.Coverage.onVerdict(out.verdict)
-		if cfg.Journal != nil {
-			t0 := cfg.Telemetry.stageStart()
-			err := cfg.Journal.Append(out.verdict)
-			cfg.Telemetry.journalDone(t0)
-			if err != nil {
-				return res, fmt.Errorf("difftest: journal: %w", err)
-			}
-		}
-		if isDetection && cfg.StopAtFirst {
-			return res, nil
-		}
-	}
-	return res, nil
 }
 
 // Classification is the Table 4 measurement of one program.

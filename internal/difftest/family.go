@@ -18,7 +18,6 @@ package difftest
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"ratte/internal/compiler"
@@ -27,7 +26,6 @@ import (
 	"ratte/internal/interp"
 	"ratte/internal/ir"
 	"ratte/internal/rtval"
-	"ratte/internal/verify"
 )
 
 // maxFamilyParams caps how many constants are hoisted into entry
@@ -40,18 +38,6 @@ const maxFamilyParams = 8
 // runs than the generator planned, and a member that blows the budget
 // is skipped, not wedged.
 const familyMaxSteps = 2_000_000
-
-// familyActive reports whether the campaign runs in family mode.
-// Family mode requires fault-free, unbounded attempts — the shared
-// stages of a batch cannot be attributed to one member's injector or
-// deadline — so with Faults or a Timeout configured the classic
-// per-seed campaign runs instead. Plan mode also disables it: a family
-// varies the program under fixed configurations, plan mode varies the
-// configuration under fixed programs, and the engines refuse to guess
-// which axis wins.
-func familyActive(cfg *CampaignConfig) bool {
-	return cfg.FamilySize > 1 && cfg.Faults == nil && cfg.Timeout == 0 && len(cfg.Plans) == 0
-}
 
 // famParam is one hoisted constant: its integer width and original
 // value. Index-typed constants are never hoisted — they are loop
@@ -145,20 +131,6 @@ func mutateParam(rng *rand.Rand, width uint) int64 {
 	return int64(rng.Uint64())
 }
 
-// familyFailure replicates one shared-stage failure to every member:
-// the family never produced a testable program, so each seed records
-// the same contained failure.
-func familyFailure(baseSeed int64, count int, sf *StageFailure) []seedOutcome {
-	outs := make([]seedOutcome, count)
-	for j := range outs {
-		outs[j] = seedOutcome{verdict: Verdict{
-			Seed: baseSeed + int64(j), Kind: VerdictStageFailure, Failure: sf,
-			Attempts: 1, Quarantined: true,
-		}}
-	}
-	return outs
-}
-
 // famMember is one member's in-flight state while the family runs.
 type famMember struct {
 	seed int64
@@ -170,11 +142,11 @@ type famMember struct {
 }
 
 // runFamily differentially tests one mutation family of count members
-// whose first member's seed is baseSeed. It returns one seedOutcome
-// per member, in member order. The verdict stream is a function of
-// (config, seeds) only: the batched and unbatched strategies share
-// every decision point and differ solely in whether module-level work
-// products are computed once or once per member.
+// whose first member's seed is baseSeed, generated as prog, and returns
+// one seedOutcome per member, in member order. The verdict stream is a
+// function of (config, seeds) only: the batched and unbatched
+// strategies share every decision point and differ solely in whether
+// module-level work products are computed once or once per member.
 func runFamily(ctx context.Context, cfg *CampaignConfig, baseSeed int64, count int, prog *gen.Program) []seedOutcome {
 	outs := make([]seedOutcome, count)
 
@@ -185,7 +157,10 @@ func runFamily(ctx context.Context, cfg *CampaignConfig, baseSeed int64, count i
 	if sf := guard(StageGenerate, baseSeed, prog.Module, func() {
 		pm, params = parameterizeMain(prog.Module)
 	}); sf != nil {
-		return familyFailure(baseSeed, count, sf)
+		for j := range outs {
+			outs[j] = failedOutcome(baseSeed+int64(j), sf)
+		}
+		return outs
 	}
 
 	// Reference stage, per member: the Ratte semantics run on the
@@ -219,10 +194,7 @@ func runFamily(ctx context.Context, cfg *CampaignConfig, baseSeed int64, count i
 		cfg.Telemetry.stageDone(mem.seed, StageReference, t0, spanOutcome(sf, refErr))
 		switch {
 		case sf != nil:
-			outs[j] = seedOutcome{verdict: Verdict{
-				Seed: mem.seed, Kind: VerdictStageFailure, Failure: sf,
-				Attempts: 1, Quarantined: true,
-			}}
+			outs[j] = failedOutcome(mem.seed, sf)
 			mem.done = true
 		case refErr != nil:
 			outs[j] = seedOutcome{verdict: Verdict{Seed: mem.seed, Kind: VerdictSkipped, Attempts: 1}}
@@ -232,173 +204,28 @@ func runFamily(ctx context.Context, cfg *CampaignConfig, baseSeed int64, count i
 		}
 	}
 
-	if cfg.Batched {
-		runFamilyBatched(ctx, cfg, pm, members, outs)
-	} else {
-		runFamilyUnbatched(ctx, cfg, pm, members, outs)
-	}
+	testMembers(ctx, cfg, pm, members, outs)
 	return outs
 }
 
-// finishMember runs the compare stage over a finished report and records
-// the member's final outcome.
-func finishMember(cfg *CampaignConfig, pm *ir.Module, mem *famMember, rep *Report) seedOutcome {
-	var oracle Oracle
-	t0 := cfg.Telemetry.stageStart()
-	if sf := guard(StageCompare, mem.seed, pm, func() {
-		oracle = rep.Detected()
-	}); sf != nil {
-		cfg.Telemetry.stageDone(mem.seed, StageCompare, t0, spanOutcome(sf, nil))
-		return seedOutcome{verdict: Verdict{
-			Seed: mem.seed, Kind: VerdictStageFailure, Failure: sf,
-			Attempts: 1, Quarantined: true,
-		}}
-	}
-	cfg.Telemetry.stageDone(mem.seed, StageCompare, t0, "ok")
-	if oracle == OracleNone {
-		return seedOutcome{verdict: Verdict{Seed: mem.seed, Kind: VerdictOK, Attempts: 1}}
-	}
-	return seedOutcome{
-		verdict: Verdict{Seed: mem.seed, Kind: VerdictDetection, Oracle: oracle, Attempts: 1},
-		detection: &Detection{
-			Seed:     mem.seed,
-			Oracle:   oracle,
-			Program:  pm,
-			Expected: mem.ref,
-			Report:   rep,
-		},
-	}
-}
-
-// memberFailure records one member's contained stage failure.
-func memberFailure(mem *famMember, sf *StageFailure) seedOutcome {
-	return seedOutcome{verdict: Verdict{
-		Seed: mem.seed, Kind: VerdictStageFailure, Failure: sf,
-		Attempts: 1, Quarantined: true,
-	}}
-}
-
-// rejectionReport builds the report of a member whose module the
-// frontend verifier rejected: every configuration records the same
-// compile error, which is the wrong-rejection half of the NC oracle.
-func rejectionReport(cfg *CampaignConfig, mem *famMember, verr error) *Report {
-	rep := &Report{
-		Preset:    cfg.Preset,
-		Reference: mem.ref,
-		Levels:    make(map[BuildConfig]LevelResult, len(BuildConfigs)),
-	}
-	for _, bc := range BuildConfigs {
-		rep.Levels[bc] = LevelResult{CompileErr: verr}
-	}
-	return rep
-}
-
-// runFamilyBatched is the shared-work strategy: verify once, compile
-// the pass pipeline once per configuration, compile each configuration
-// to a CompiledProgram once, and run every member through
-// RunProgramArgs. Failure replication keeps member verdicts identical
-// to the unbatched strategy: a deterministic panic in a shared stage
-// would hit every member's private run of that stage too, so every
-// live member records the same contained failure.
-func runFamilyBatched(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, members []famMember, outs []seedOutcome) {
-	// Verify once.
-	var verr error
-	t0 := cfg.Telemetry.stageStart()
-	sf := guard(StageVerify, members[0].seed, pm, func() {
-		verr = verify.Module(pm, dialects.SourceSpecs())
-	})
-	cfg.Telemetry.stageDone(members[0].seed, StageVerify, t0, spanOutcome(sf, verr))
-	if sf != nil {
-		for j := range members {
-			if !members[j].done {
-				outs[j] = memberFailure(&members[j], sf)
-			}
-		}
-		return
-	}
-	if verr != nil {
-		for j := range members {
-			mem := &members[j]
-			if mem.done {
-				continue
-			}
-			outs[j] = finishMember(cfg, pm, mem, rejectionReport(cfg, mem, verr))
-		}
-		return
-	}
-
-	// Compile the pass pipeline once per configuration.
-	opts := &compiler.Options{Bugs: cfg.Bugs, SkipVerify: true}
-	var cres []compiler.ConfigResult
-	tc := cfg.Telemetry.stageStart()
-	sf = guard(StageCompile, members[0].seed, pm, func() {
-		cres = compiler.CompileConfigsOpts(pm, cfg.Preset, opts, BuildConfigs)
-	})
-	cfg.Telemetry.stageDone(members[0].seed, StageCompile, tc, spanOutcome(sf, nil))
-	if sf != nil {
-		for j := range members {
-			if !members[j].done {
-				outs[j] = memberFailure(&members[j], sf)
-			}
-		}
-		return
-	}
-
-	// Interpret: one CompiledProgram per configuration, compiled lazily
-	// inside the first live member's guard (so a deterministic compile
-	// panic lands on each member exactly as it would unbatched), then
-	// reused by every later member.
-	progs := make([]*interp.CompiledProgram, len(BuildConfigs))
-	for j := range members {
-		mem := &members[j]
-		if mem.done {
-			continue
-		}
-		if ctx.Err() != nil {
-			outs[j] = seedOutcome{aborted: true}
-			mem.done = true
-			continue
-		}
-		rep := &Report{
-			Preset:    cfg.Preset,
-			Reference: mem.ref,
-			Levels:    make(map[BuildConfig]LevelResult, len(BuildConfigs)),
-		}
-		ti := cfg.Telemetry.stageStart()
-		if sf := guard(StageInterpret, mem.seed, pm, func() {
-			for i, bc := range BuildConfigs {
-				var lr LevelResult
-				if cres[i].Err != nil {
-					lr.CompileErr = cres[i].Err
-				} else {
-					if progs[i] == nil {
-						progs[i] = interp.Compile(dialects.ExecutorRegistry(), cres[i].Module)
-					}
-					ex := dialects.NewExecutor()
-					ex.MaxSteps = familyMaxSteps
-					ex.Metrics = cfg.Telemetry.interpMetrics()
-					res, err := ex.RunProgramArgs(progs[i], "main", mem.args)
-					if err != nil {
-						lr.RunErr = err
-					} else {
-						lr.Output = res.Output
-					}
-				}
-				rep.Levels[bc] = lr
-			}
-		}); sf != nil {
-			cfg.Telemetry.stageDone(mem.seed, StageInterpret, ti, spanOutcome(sf, nil))
-			outs[j] = memberFailure(mem, sf)
-			continue
-		}
-		cfg.Telemetry.stageDone(mem.seed, StageInterpret, ti, "ok")
-		outs[j] = finishMember(cfg, pm, mem, rep)
-	}
-}
-
-// runFamilyUnbatched runs the identical members through the full
-// per-member pipeline — the strategy batching is measured against.
-func runFamilyUnbatched(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, members []famMember, outs []seedOutcome) {
+// testMembers runs the verify, compile, interpret and compare stages
+// for every live member. The batched strategy computes the module-level
+// work products — verification, one pass-pipeline compilation per
+// configuration and one interp.Compile per compiled configuration —
+// at the first live member and reuses them for the rest, running each
+// member through RunProgramArgs. The unbatched strategy, the yardstick
+// batching is measured against, recomputes all of it per member.
+// Reusing a shared stage's failure keeps member verdicts identical
+// between the two: a deterministic panic in a shared stage would hit
+// every member's private run of that stage too.
+func testMembers(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, members []famMember, outs []seedOutcome) {
+	var (
+		cres   []compiler.ConfigResult
+		verr   error
+		shared *StageFailure
+		progs  []*interp.CompiledProgram
+		reuse  bool
+	)
 	for j := range members {
 		mem := &members[j]
 		if mem.done {
@@ -408,129 +235,50 @@ func runFamilyUnbatched(ctx context.Context, cfg *CampaignConfig, pm *ir.Module,
 			outs[j] = seedOutcome{aborted: true}
 			continue
 		}
-
-		var verr error
-		t0 := cfg.Telemetry.stageStart()
-		sf := guard(StageVerify, mem.seed, pm, func() {
-			verr = verify.Module(pm, dialects.SourceSpecs())
-		})
-		cfg.Telemetry.stageDone(mem.seed, StageVerify, t0, spanOutcome(sf, verr))
-		if sf != nil {
-			outs[j] = memberFailure(mem, sf)
+		if !reuse {
+			cres, verr, shared = verifyCompile(cfg, mem.seed, pm, &compiler.Options{Bugs: cfg.Bugs})
+			progs = make([]*interp.CompiledProgram, len(cres))
+			reuse = cfg.Batched
+		}
+		if shared != nil {
+			outs[j] = failedOutcome(mem.seed, shared)
 			continue
 		}
+		var lrs []LevelResult
 		if verr != nil {
-			outs[j] = finishMember(cfg, pm, mem, rejectionReport(cfg, mem, verr))
-			continue
-		}
-
-		opts := &compiler.Options{Bugs: cfg.Bugs, SkipVerify: true}
-		var cres []compiler.ConfigResult
-		tc := cfg.Telemetry.stageStart()
-		sf = guard(StageCompile, mem.seed, pm, func() {
-			cres = compiler.CompileConfigsOpts(pm, cfg.Preset, opts, BuildConfigs)
-		})
-		cfg.Telemetry.stageDone(mem.seed, StageCompile, tc, spanOutcome(sf, nil))
-		if sf != nil {
-			outs[j] = memberFailure(mem, sf)
-			continue
-		}
-
-		rep := &Report{
-			Preset:    cfg.Preset,
-			Reference: mem.ref,
-			Levels:    make(map[BuildConfig]LevelResult, len(BuildConfigs)),
-		}
-		ti := cfg.Telemetry.stageStart()
-		if sf := guard(StageInterpret, mem.seed, pm, func() {
-			for i, bc := range BuildConfigs {
-				var lr LevelResult
-				if cres[i].Err != nil {
-					lr.CompileErr = cres[i].Err
-				} else {
-					ex := dialects.NewExecutor()
-					ex.MaxSteps = familyMaxSteps
-					ex.Metrics = cfg.Telemetry.interpMetrics()
-					res, err := ex.RunArgs(cres[i].Module, "main", mem.args)
-					if err != nil {
-						lr.RunErr = err
-					} else {
-						lr.Output = res.Output
-					}
+			lrs = rejected(cfg, verr)
+		} else {
+			var sf *StageFailure
+			lrs, sf = interpretStage(cfg, mem.seed, pm, cres, func(i int, m *ir.Module) (*interp.Result, error) {
+				ex := dialects.NewExecutor()
+				ex.MaxSteps = familyMaxSteps
+				ex.Metrics = cfg.Telemetry.interpMetrics()
+				if !cfg.Batched {
+					return ex.RunArgs(m, "main", mem.args)
 				}
-				rep.Levels[bc] = lr
-			}
-		}); sf != nil {
-			cfg.Telemetry.stageDone(mem.seed, StageInterpret, ti, spanOutcome(sf, nil))
-			outs[j] = memberFailure(mem, sf)
-			continue
-		}
-		cfg.Telemetry.stageDone(mem.seed, StageInterpret, ti, "ok")
-		outs[j] = finishMember(cfg, pm, mem, rep)
-	}
-}
-
-// runCampaignFamilies is the serial engine's family-mode loop: one
-// generation per family, one runFamily per family, and exactly the
-// classic loop's per-seed accounting over the member outcomes.
-func runCampaignFamilies(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
-	res := newCampaignResult()
-	for base := 0; base < cfg.Programs; base += cfg.FamilySize {
-		count := cfg.FamilySize
-		if base+count > cfg.Programs {
-			count = cfg.Programs - base
-		}
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		allResumed := true
-		for j := 0; j < count; j++ {
-			if _, ok := cfg.Resumed[cfg.Seed+int64(base+j)]; !ok {
-				allResumed = false
-				break
-			}
-		}
-		var outs []seedOutcome
-		if !allResumed {
-			baseSeed := cfg.Seed + int64(base)
-			prog, sf, err := generateStage(&cfg, baseSeed, nil) // family mode runs uncovered
-			if err != nil {
-				return nil, fmt.Errorf("difftest: generation failed: %w", err)
-			}
+				// Compiled lazily inside the member's guard, so a
+				// deterministic compile panic lands on each member
+				// exactly as it would unbatched.
+				if progs[i] == nil {
+					progs[i] = interp.Compile(dialects.ExecutorRegistry(), m)
+				}
+				return ex.RunProgramArgs(progs[i], "main", mem.args)
+			})
 			if sf != nil {
-				outs = familyFailure(baseSeed, count, sf)
-			} else {
-				outs = runFamily(ctx, &cfg, baseSeed, count, prog)
-			}
-		}
-		for j := 0; j < count; j++ {
-			seed := cfg.Seed + int64(base+j)
-			if v, ok := cfg.Resumed[seed]; ok {
-				isDetection := res.record(v, nil)
-				cfg.Telemetry.onVerdict(v)
-				if isDetection && cfg.StopAtFirst {
-					return res, nil
-				}
+				outs[j] = failedOutcome(mem.seed, sf)
 				continue
 			}
-			out := outs[j]
-			if out.aborted {
-				return res, ctx.Err()
-			}
-			isDetection := res.record(out.verdict, out.detection)
-			cfg.Telemetry.onVerdict(out.verdict)
-			if cfg.Journal != nil {
-				t0 := cfg.Telemetry.stageStart()
-				err := cfg.Journal.Append(out.verdict)
-				cfg.Telemetry.journalDone(t0)
-				if err != nil {
-					return res, fmt.Errorf("difftest: journal: %w", err)
-				}
-			}
-			if isDetection && cfg.StopAtFirst {
-				return res, nil
-			}
+		}
+		det := &Detection{Seed: mem.seed, Program: pm, Expected: mem.ref, Report: newReport(cfg.Preset, mem.ref, lrs)}
+		v, sf := compareStage(cfg, pm, det)
+		if sf != nil {
+			outs[j] = failedOutcome(mem.seed, sf)
+			continue
+		}
+		v.Attempts = 1
+		outs[j] = seedOutcome{verdict: v}
+		if v.Kind == VerdictDetection {
+			outs[j].detection = det
 		}
 	}
-	return res, nil
 }

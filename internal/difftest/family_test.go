@@ -1,13 +1,17 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ratte/internal/bugs"
+	"ratte/internal/compiler"
 	"ratte/internal/dialects"
+	"ratte/internal/faultinject"
 	"ratte/internal/gen"
 	"ratte/internal/verify"
 )
@@ -212,28 +216,129 @@ func TestFamilyJournalResume(t *testing.T) {
 	}
 }
 
-// TestFamilyIgnoredUnderFaultsAndTimeouts: family mode silently yields
-// to the classic per-seed campaign when fault injection or per-program
-// budgets are configured, and the journal header reflects that.
-func TestFamilyIgnoredUnderFaultsAndTimeouts(t *testing.T) {
-	classic := CampaignConfig{Preset: "ariths", Programs: 6, Size: 12, Seed: 9}
-	want, err := RunCampaign(classic)
+// TestFamilyResumeMidFamilyAcrossWorkers: a batched family campaign
+// whose journal ends mid-family resumes to the uninterrupted report and
+// verdicts at any worker count, and the resumed journal holds every
+// seed exactly once.
+func TestFamilyResumeMidFamilyAcrossWorkers(t *testing.T) {
+	cfg := CampaignConfig{
+		Preset: "ariths", Programs: 24, Size: 16, Seed: 97,
+		FamilySize: 4, Batched: true, Bugs: bugs.Only(bugs.RemoveDeadValuesCall),
+	}
+	full, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	famCfg := classic
-	famCfg.FamilySize = 3
-	famCfg.Batched = true
-	famCfg.Timeout = 1 << 40 // effectively unbounded, but set
-	got, err := RunCampaign(famCfg)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fam.jsonl")
+			j, err := CreateJournal(path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leg := cfg
+			leg.Programs = 10 // two whole families and half of the third
+			leg.Journal = j
+			if _, err := RunCampaignParallel(leg, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			j2, resumed, err := OpenJournalForResume(path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resumed) != leg.Programs {
+				t.Fatalf("journal recovered %d verdicts, want %d", len(resumed), leg.Programs)
+			}
+			res := cfg
+			res.Journal = j2
+			res.Resumed = resumed
+			got, err := RunCampaignParallel(res, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if ReportText(got) != ReportText(full) {
+				t.Fatalf("resumed family campaign diverged:\n got:\n%s\nwant:\n%s", ReportText(got), ReportText(full))
+			}
+			if d := DiffVerdicts(full.Verdicts, got.Verdicts); d != "" {
+				t.Fatalf("resumed family verdicts diverged: %s", d)
+			}
+			_, again, err := OpenJournalForResume(path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(again) != cfg.Programs {
+				t.Fatalf("resumed journal holds %d verdicts, want %d", len(again), cfg.Programs)
+			}
+		})
+	}
+}
+
+// TestInvalidCampaignConfigsRejected: knobs that contradict each other
+// are refused by every entry point — the campaign engines, the shard
+// runner and the fingerprint the fleet coordinator checks at start —
+// instead of one of them being silently ignored.
+func TestInvalidCampaignConfigsRejected(t *testing.T) {
+	plans, err := compiler.SamplePlans("ariths", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ReportText(got) != ReportText(want) {
-		t.Fatalf("family config with Timeout did not fall back to classic:\n got:\n%s\nwant:\n%s",
-			ReportText(got), ReportText(want))
+	tensorPlans, err := compiler.SamplePlans("tensor", 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h := headerFor(&famCfg); h.Family != 0 {
-		t.Fatalf("journal header records family %d for an inactive family config", h.Family)
+	base := CampaignConfig{Preset: "ariths", Programs: 8, Size: 12, Seed: 9}
+	family := base
+	family.FamilySize = 4
+	cases := []struct {
+		name   string
+		mutate func(*CampaignConfig)
+	}{
+		{"family+plans", func(c *CampaignConfig) { *c = family; c.Plans = plans }},
+		{"family+faults", func(c *CampaignConfig) {
+			*c = family
+			c.Faults = &faultinject.Spec{Seed: 1, Rate: 0.1, Kinds: []faultinject.Kind{faultinject.KindError}}
+		}},
+		{"family+timeout", func(c *CampaignConfig) { *c = family; c.Timeout = time.Hour }},
+		{"batched-without-family", func(c *CampaignConfig) { c.Batched = true }},
+		{"batched-with-family-size-1", func(c *CampaignConfig) { c.Batched = true; c.FamilySize = 1 }},
+		{"plan-preset-mismatch", func(c *CampaignConfig) { c.Plans = tensorPlans }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.mutate(&cfg)
+			if _, err := RunCampaign(cfg); err == nil {
+				t.Error("RunCampaign accepted the config")
+			}
+			if _, err := RunCampaignParallel(cfg, 4); err == nil {
+				t.Error("RunCampaignParallel accepted the config")
+			}
+			if _, err := RunCampaignRange(context.Background(), cfg, 0, 4, 1); err == nil {
+				t.Error("RunCampaignRange accepted the config")
+			}
+			if _, err := CampaignFingerprint(cfg); err == nil {
+				t.Error("CampaignFingerprint accepted the config")
+			}
+		})
+	}
+	// The valid neighbours of those combinations still run. A family
+	// campaign with coverage attached runs too, and collects none.
+	covered := family
+	covered.Batched = true
+	covered.Coverage = NewCampaignCoverage(nil)
+	for _, cfg := range []CampaignConfig{family, covered} {
+		if _, err := RunCampaign(cfg); err != nil {
+			t.Errorf("valid family config rejected: %v", err)
+		}
+	}
+	if n := covered.Coverage.Sites(); n != 0 {
+		t.Errorf("family campaign collected coverage at %d sites", n)
 	}
 }

@@ -65,7 +65,7 @@ func headerFor(cfg *CampaignConfig) journalHeader {
 		h.FaultSeed = cfg.Faults.Seed
 		h.FaultRate = cfg.Faults.Rate
 	}
-	if familyActive(cfg) {
+	if cfg.FamilySize > 1 {
 		h.Family = cfg.FamilySize
 	}
 	if len(cfg.Plans) > 0 {
@@ -91,9 +91,9 @@ func headerMatches(a, b journalHeader) bool {
 }
 
 // Journal is an open campaign journal accepting verdict appends. It is
-// not safe for concurrent use; both campaign engines append from a
-// single goroutine (the serial loop, the parallel collector), which is
-// also what keeps the journal in seed order.
+// not safe for concurrent use; the campaign engine's sequencer is its
+// only writer and appends from a single goroutine, which is also what
+// keeps the journal in seed order.
 type Journal struct {
 	f    *os.File
 	path string

@@ -1,7 +1,9 @@
 package difftest_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"ratte/internal/bugs"
 	"ratte/internal/difftest"
@@ -88,5 +90,55 @@ func TestParallelWithOneWorkerDelegates(t *testing.T) {
 	}
 	if res.Programs != 5 {
 		t.Errorf("programs = %d", res.Programs)
+	}
+}
+
+// TestSerialCampaignStartsNoGoroutine: with one worker the engine runs
+// every unit on the caller's goroutine — no pool, no channels. A poller
+// samples runtime.NumGoroutine during the run; it must never see more
+// than the pre-run count plus itself. The same poller must see the
+// pool of a two-worker run, or it proves nothing.
+func TestSerialCampaignStartsNoGoroutine(t *testing.T) {
+	cfg := difftest.CampaignConfig{
+		Preset: "ariths", Programs: 40, Size: 16, Seed: 97,
+		Bugs: bugs.Only(bugs.RemoveDeadValuesCall),
+	}
+	peakDuring := func(run func()) int {
+		stop := make(chan struct{})
+		peak := make(chan int)
+		go func() {
+			most := 0
+			for {
+				if n := runtime.NumGoroutine(); n > most {
+					most = n
+				}
+				select {
+				case <-stop:
+					peak <- most
+					return
+				case <-time.After(50 * time.Microsecond):
+				}
+			}
+		}()
+		run()
+		close(stop)
+		return <-peak
+	}
+	runWith := func(workers int) func() {
+		return func() {
+			if _, err := difftest.RunCampaignParallel(cfg, workers); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	for _, workers := range []int{0, 1} {
+		before := runtime.NumGoroutine()
+		if peak := peakDuring(runWith(workers)); peak > before+1 {
+			t.Errorf("workers=%d: %d goroutines during the run, want at most %d", workers, peak, before+1)
+		}
+	}
+	before := runtime.NumGoroutine()
+	if peak := peakDuring(runWith(2)); peak <= before+1 {
+		t.Errorf("poller saw no pool goroutines in a workers=2 run (peak %d, before %d)", peak, before)
 	}
 }

@@ -13,17 +13,9 @@
 package difftest
 
 import (
-	"context"
-	"errors"
-
 	"ratte/internal/bugs"
 	"ratte/internal/compiler"
-	"ratte/internal/coverage"
-	"ratte/internal/dialects"
-	"ratte/internal/faultinject"
-	"ratte/internal/gen"
 	"ratte/internal/ir"
-	"ratte/internal/verify"
 )
 
 // OracleDTP is differential testing across compilation plans: two
@@ -50,36 +42,27 @@ type PlanReport struct {
 // outcomes, sharing the plans' common pipeline prefixes. reference is
 // the expected output from the Ratte semantics.
 func TestModulePlans(m *ir.Module, reference string, plans []compiler.Plan, bugSet bugs.Set) *PlanReport {
-	rep := newPlanReport(reference, plans)
 	outs := compiler.CompilePlans(m, plans, bugSet)
-	for i, p := range plans {
-		var lr LevelResult
-		if outs[i].Err != nil {
-			lr.CompileErr = outs[i].Err
-		} else {
-			res, err := dialects.NewExecutor().Run(outs[i].Module, "main")
-			if err != nil {
-				lr.RunErr = err
-			} else {
-				lr.Output = res.Output
-			}
-		}
-		rep.Results[p.Key()] = lr
-	}
-	return rep
+	return newPlanReport(reference, plans, interpretAll(outs, runMain))
 }
 
-func newPlanReport(reference string, plans []compiler.Plan) *PlanReport {
+// newPlanReport assembles a PlanReport from one LevelResult per plan,
+// in plan order.
+func newPlanReport(reference string, plans []compiler.Plan, lrs []LevelResult) *PlanReport {
 	preset := ""
 	if len(plans) > 0 {
 		preset = plans[0].Preset
 	}
-	return &PlanReport{
+	rep := &PlanReport{
 		Preset:    preset,
 		Reference: reference,
 		Plans:     plans,
 		Results:   make(map[string]LevelResult, len(plans)),
 	}
+	for i, p := range plans {
+		rep.Results[p.Key()] = lrs[i]
+	}
+	return rep
 }
 
 // NC reports whether the non-crash oracle fires under any plan, and
@@ -141,166 +124,4 @@ func (r *PlanReport) Detected() (Oracle, string) {
 		return OracleDTP, key
 	}
 	return OracleNone, ""
-}
-
-// planTestOnce is the plan-mode body of one guarded, deadline-bounded
-// attempt: testOnce with the plan set in place of the fixed build
-// configurations. The stage structure, panic containment, fault
-// classification and abort semantics are identical — only the compile
-// fan-out and the compare stage differ.
-func planTestOnce(ctx context.Context, cfg *CampaignConfig, seed int64, prog *gen.Program, inj *faultinject.Injector, cov *coverage.Map) attemptResult {
-	hitsBefore := inj.Hits()
-	pctx := ctx
-	cancel := func() {}
-	if cfg.Timeout > 0 {
-		pctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-	}
-	defer cancel()
-
-	m := prog.Module
-	fail := func(sf *StageFailure) attemptResult {
-		if ctx.Err() != nil && !sf.Injected {
-			return attemptResult{aborted: true}
-		}
-		return attemptResult{
-			verdict:   Verdict{Seed: seed, Kind: VerdictStageFailure, Failure: sf},
-			transient: sf.Injected,
-		}
-	}
-
-	// Verify stage: a verification error is the wrong-rejection half of
-	// the NC oracle, recorded per plan exactly as CompilePlans reports it.
-	var verr error
-	t0 := cfg.Telemetry.stageStart()
-	if sf := guard(StageVerify, seed, m, func() {
-		verr = verify.Module(m, dialects.SourceSpecs())
-	}); sf != nil {
-		cfg.Telemetry.stageDone(seed, StageVerify, t0, spanOutcome(sf, nil))
-		return fail(sf)
-	}
-	cfg.Telemetry.stageDone(seed, StageVerify, t0, spanOutcome(nil, verr))
-
-	rep := newPlanReport(prog.Expected, cfg.Plans)
-	rep.Preset = cfg.Preset
-	if verr != nil {
-		for _, p := range cfg.Plans {
-			rep.Results[p.Key()] = LevelResult{CompileErr: verr}
-		}
-	} else {
-		// Compile stage: the shared prefix-tree compilation of
-		// TestModulePlans, minus the verification already done above.
-		opts := &compiler.Options{Bugs: cfg.Bugs, Ctx: pctx, Faults: inj, SkipVerify: true, Coverage: cov}
-		var outs []compiler.ConfigResult
-		tc := cfg.Telemetry.stageStart()
-		if sf := guard(StageCompile, seed, m, func() {
-			outs = compiler.CompilePlansOpts(m, opts, cfg.Plans)
-		}); sf != nil {
-			cfg.Telemetry.stageDone(seed, StageCompile, tc, spanOutcome(sf, nil))
-			return fail(sf)
-		}
-		cfg.Telemetry.stageDone(seed, StageCompile, tc, "ok")
-		// Interpret stage: run each successfully compiled plan.
-		ti := cfg.Telemetry.stageStart()
-		if sf := guard(StageInterpret, seed, m, func() {
-			for i, p := range cfg.Plans {
-				var lr LevelResult
-				if outs[i].Err != nil {
-					lr.CompileErr = outs[i].Err
-				} else {
-					ex := dialects.NewExecutor()
-					ex.Ctx = pctx
-					ex.Faults = inj
-					ex.Metrics = cfg.Telemetry.interpMetrics()
-					ex.Coverage = cov
-					res, err := ex.Run(outs[i].Module, "main")
-					if err != nil {
-						lr.RunErr = err
-					} else {
-						lr.Output = res.Output
-					}
-				}
-				rep.Results[p.Key()] = lr
-			}
-		}); sf != nil {
-			cfg.Telemetry.stageDone(seed, StageInterpret, ti, spanOutcome(sf, nil))
-			return fail(sf)
-		}
-		cfg.Telemetry.stageDone(seed, StageInterpret, ti, "ok")
-	}
-
-	// Classification sweep: injected errors and expired budgets landed
-	// in the per-plan results as CompileErr/RunErr; they must become
-	// stage-failure/timeout verdicts, not masquerade as NC detections.
-	var injectedErr error
-	var injectedStage Stage
-	timedOut := false
-	for _, p := range cfg.Plans {
-		lr := rep.Results[p.Key()]
-		if e := lr.CompileErr; e != nil {
-			if faultinject.IsInjected(e) && injectedErr == nil {
-				injectedErr, injectedStage = e, StageCompile
-			}
-			if errors.Is(e, context.DeadlineExceeded) || errors.Is(e, context.Canceled) {
-				timedOut = true
-			}
-		}
-		if e := lr.RunErr; e != nil {
-			if faultinject.IsInjected(e) && injectedErr == nil {
-				injectedErr, injectedStage = e, StageInterpret
-			}
-			if errors.Is(e, context.DeadlineExceeded) || errors.Is(e, context.Canceled) {
-				timedOut = true
-			}
-		}
-	}
-	if ctx.Err() != nil {
-		return attemptResult{aborted: true}
-	}
-	if injectedErr != nil {
-		return attemptResult{
-			verdict: Verdict{Seed: seed, Kind: VerdictStageFailure, Failure: &StageFailure{
-				Stage:    injectedStage,
-				Seed:     seed,
-				Reason:   injectedErr.Error(),
-				Module:   safePrint(m),
-				Injected: true,
-			}},
-			transient: true,
-		}
-	}
-	if timedOut {
-		return attemptResult{
-			verdict:   Verdict{Seed: seed, Kind: VerdictTimeout},
-			transient: inj.Hits() > hitsBefore,
-		}
-	}
-
-	// Compare stage.
-	var oracle Oracle
-	var planKey string
-	tcmp := cfg.Telemetry.stageStart()
-	if sf := guard(StageCompare, seed, m, func() {
-		oracle, planKey = rep.Detected()
-	}); sf != nil {
-		cfg.Telemetry.stageDone(seed, StageCompare, tcmp, spanOutcome(sf, nil))
-		return fail(sf)
-	}
-	cfg.Telemetry.stageDone(seed, StageCompare, tcmp, "ok")
-	if oracle == OracleNone {
-		return attemptResult{verdict: Verdict{Seed: seed, Kind: VerdictOK}}
-	}
-	return attemptResult{
-		verdict: Verdict{
-			Seed: seed, Kind: VerdictDetection, Oracle: oracle,
-			Plan: planKey, Program: ir.Fingerprint(m),
-		},
-		detection: &Detection{
-			Seed:       seed,
-			Oracle:     oracle,
-			Plan:       planKey,
-			Program:    m,
-			Expected:   prog.Expected,
-			PlanReport: rep,
-		},
-	}
 }

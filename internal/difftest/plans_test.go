@@ -171,27 +171,6 @@ func TestPlanJournalRejectsDifferentPlanSet(t *testing.T) {
 	j.Close()
 }
 
-// TestPlanModeDisablesFamilyMode: the two campaign axes are mutually
-// exclusive; with Plans set the classic per-seed plan pipeline runs
-// and FamilySize is ignored.
-func TestPlanModeDisablesFamilyMode(t *testing.T) {
-	cfg := planCfg(12, bugs.None())
-	cfg.Plans = samplePlans(t, "ariths", 4, 1)
-	plain, err := difftest.RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fam := cfg
-	fam.FamilySize = 4
-	got, err := difftest.RunCampaign(fam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := difftest.DiffResults(plain, got); d != "" {
-		t.Fatalf("FamilySize changed a plan-mode campaign: %s", d)
-	}
-}
-
 // TestPlanReportKeysByFingerprint: two plans sharing a display name
 // stay distinct through TestModulePlans — the satellite-4 regression.
 func TestPlanReportKeysByFingerprint(t *testing.T) {

@@ -23,6 +23,9 @@ import (
 // is exactly the check the fleet coordinator applies when a worker
 // registers (and the journal applies on resume).
 func CampaignFingerprint(cfg CampaignConfig) ([]byte, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	data, err := json.Marshal(headerFor(&cfg))
 	if err != nil {
 		return nil, fmt.Errorf("difftest: fingerprint: %w", err)
@@ -39,7 +42,7 @@ func ValidateShardRange(cfg *CampaignConfig, first, count int) error {
 	if first < 0 || count <= 0 || first+count > cfg.Programs {
 		return fmt.Errorf("difftest: shard [%d,%d) outside campaign of %d programs", first, first+count, cfg.Programs)
 	}
-	if familyActive(cfg) {
+	if cfg.FamilySize > 1 {
 		if first%cfg.FamilySize != 0 {
 			return fmt.Errorf("difftest: shard start %d not aligned to family size %d", first, cfg.FamilySize)
 		}
@@ -57,19 +60,16 @@ func ValidateShardRange(cfg *CampaignConfig, first, count int) error {
 // structure...); only the window of seeds differs, so the returned
 // verdicts are byte-identical to the corresponding slice of a
 // single-process run. Journals, resume maps and StopAtFirst belong to
-// the whole-campaign engines and are ignored here; workers is the
-// in-process parallelism of the range engine.
+// the whole campaign and are ignored here; workers is the in-process
+// parallelism of the range.
 func RunCampaignRange(ctx context.Context, cfg CampaignConfig, first, count, workers int) ([]Verdict, error) {
 	if err := ValidateShardRange(&cfg, first, count); err != nil {
 		return nil, err
 	}
-	sub := cfg
-	sub.Seed = cfg.Seed + int64(first)
-	sub.Programs = count
-	sub.Journal = nil
-	sub.Resumed = nil
-	sub.StopAtFirst = false
-	res, err := RunCampaignParallelCtx(ctx, sub, workers)
+	cfg.Seed += int64(first)
+	cfg.Programs = count
+	cfg.Journal, cfg.Resumed, cfg.StopAtFirst = nil, nil, false
+	res, err := RunCampaignParallelCtx(ctx, cfg, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -77,20 +77,20 @@ func RunCampaignRange(ctx context.Context, cfg CampaignConfig, first, count, wor
 }
 
 // AssembleResult reconstructs a campaign result from its verdicts in
-// seed order, replaying exactly the accounting the engines perform as
-// they sequence verdicts — the merge half of a distributed campaign
-// (and the same reconstruction a journal resume performs seed by
-// seed). ReportText over the assembled result is byte-identical to the
-// single-process run's, because the report depends only on the
-// sequenced verdicts. When cfg.Telemetry is set, each verdict is also
-// folded into its counters.
+// seed order by feeding them through the campaign engine's sequencer —
+// the merge half of a distributed campaign. ReportText over the
+// assembled result is byte-identical to the single-process run's,
+// because the report depends only on the sequenced verdicts. When
+// cfg.Telemetry or cfg.Coverage is set, each verdict is also folded
+// into it; the journal, resume map and StopAtFirst are not consulted.
 func AssembleResult(cfg CampaignConfig, verdicts []Verdict) *CampaignResult {
-	res := newCampaignResult()
-	res.notePlans(&cfg)
-	for _, v := range verdicts {
-		res.record(v, nil)
-		cfg.Telemetry.onVerdict(v)
-		cfg.Coverage.onVerdict(v)
+	cfg.Programs = len(verdicts)
+	cfg.Journal, cfg.Resumed, cfg.StopAtFirst = nil, nil, false
+	seq := newSequencer(&cfg)
+	outs := make([]seedOutcome, len(verdicts))
+	for i, v := range verdicts {
+		outs[i].verdict = v
 	}
-	return res
+	seq.offer(0, outs)
+	return seq.res
 }

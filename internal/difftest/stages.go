@@ -1,9 +1,10 @@
 // The fault-isolated per-seed pipeline: generate → verify → compile →
 // interpret → compare, each stage guarded against panics, the whole
 // attempt bounded by a per-program wall-clock budget, with bounded
-// retry for transient (injected) failures. Both campaign engines run
-// seeds through this file, which is what makes their verdicts
-// byte-identical: everything here depends only on (config, seed).
+// retry for transient (injected) failures. The campaign engine runs
+// every classic and plan-mode seed through this file, which is what
+// makes verdicts independent of worker count: everything here depends
+// only on (config, seed).
 package difftest
 
 import (
@@ -16,6 +17,8 @@ import (
 	"ratte/internal/dialects"
 	"ratte/internal/faultinject"
 	"ratte/internal/gen"
+	"ratte/internal/interp"
+	"ratte/internal/ir"
 	"ratte/internal/verify"
 )
 
@@ -37,22 +40,52 @@ type seedOutcome struct {
 	aborted bool
 }
 
-// runSeed executes the full per-seed pipeline. It is the one entry
-// point both engines share.
-func runSeed(ctx context.Context, cfg *CampaignConfig, seed int64) seedOutcome {
-	cov := cfg.Coverage.newSeedMap()
-	prog, sf, err := generateStage(cfg, seed, cov)
-	if err != nil {
-		return seedOutcome{genErr: err}
+// failedOutcome records a seed whose contained stage failure left it
+// with no testable attempt.
+func failedOutcome(seed int64, sf *StageFailure) seedOutcome {
+	return seedOutcome{verdict: Verdict{
+		Seed: seed, Kind: VerdictStageFailure, Failure: sf,
+		Attempts: 1, Quarantined: true,
+	}}
+}
+
+// testSeed differentially tests one generated program, retrying
+// transient failures up to cfg.MaxRetries with exponential backoff and
+// quarantining seeds that never produce a clean attempt. One injector
+// serves all attempts, so retries see fresh fault decisions (site
+// occurrence counters advance) — the model of a transient failure.
+func testSeed(ctx context.Context, cfg *CampaignConfig, seed int64, prog *gen.Program, cov *coverage.Map) seedOutcome {
+	var inj *faultinject.Injector
+	if cfg.Faults != nil {
+		inj = faultinject.New(cfg.Faults.ForSeed(seed))
+		if cfg.Telemetry != nil {
+			inj.SetObserver(cfg.Telemetry.onFault)
+		}
 	}
-	if sf != nil {
-		return seedOutcome{verdict: Verdict{
-			Seed: seed, Kind: VerdictStageFailure, Failure: sf,
-			Attempts: 1, Quarantined: true,
-			Coverage: cov.Summary(),
-		}}
+	backoff := cfg.RetryBackoff
+	if backoff <= 0 {
+		backoff = DefaultRetryBackoff
 	}
-	return testSeed(ctx, cfg, seed, prog, cov)
+	for attempt := 1; ; attempt++ {
+		out := testOnce(ctx, cfg, seed, prog, inj, cov)
+		if out.aborted {
+			return seedOutcome{aborted: true}
+		}
+		if !out.transient || attempt > cfg.MaxRetries {
+			v := out.verdict
+			v.Attempts = attempt
+			v.Faults = inj.Hits()
+			if v.Kind == VerdictStageFailure || v.Kind == VerdictTimeout {
+				v.Quarantined = true
+			}
+			// The summary spans every attempt (retries are themselves
+			// deterministic per seed), so the verdict's coverage is a
+			// pure function of (config, seed).
+			v.Coverage = cov.Summary()
+			return seedOutcome{verdict: v, detection: out.detection}
+		}
+		time.Sleep(backoff << (attempt - 1))
+	}
 }
 
 // generateStage produces the seed's program with panic containment.
@@ -89,6 +122,84 @@ func spanOutcome(sf *StageFailure, err error) string {
 	return "ok"
 }
 
+// verifyCompile runs the verify and compile stages over m, each under
+// panic containment with its span. A verification error is not a
+// stage failure: it is the wrong-rejection half of the NC oracle,
+// returned as verr (see rejected) with nothing compiled. The module is
+// compiled under cfg.Plans in plan mode and under BuildConfigs
+// otherwise, sharing pipeline prefixes either way.
+func verifyCompile(cfg *CampaignConfig, seed int64, m *ir.Module, opts *compiler.Options) (outs []compiler.ConfigResult, verr error, sf *StageFailure) {
+	t0 := cfg.Telemetry.stageStart()
+	sf = guard(StageVerify, seed, m, func() {
+		verr = verify.Module(m, dialects.SourceSpecs())
+	})
+	cfg.Telemetry.stageDone(seed, StageVerify, t0, spanOutcome(sf, verr))
+	if sf != nil || verr != nil {
+		return nil, verr, sf
+	}
+	opts.SkipVerify = true
+	tc := cfg.Telemetry.stageStart()
+	sf = guard(StageCompile, seed, m, func() {
+		if len(cfg.Plans) > 0 {
+			outs = compiler.CompilePlansOpts(m, opts, cfg.Plans)
+		} else {
+			outs = compiler.CompileConfigsOpts(m, cfg.Preset, opts, BuildConfigs)
+		}
+	})
+	cfg.Telemetry.stageDone(seed, StageCompile, tc, spanOutcome(sf, nil))
+	return outs, nil, sf
+}
+
+// rejected records a verification error against every configuration
+// (every plan in plan mode), exactly as the compiler reports it.
+func rejected(cfg *CampaignConfig, verr error) []LevelResult {
+	n := len(BuildConfigs)
+	if len(cfg.Plans) > 0 {
+		n = len(cfg.Plans)
+	}
+	lrs := make([]LevelResult, n)
+	for i := range lrs {
+		lrs[i].CompileErr = verr
+	}
+	return lrs
+}
+
+// interpretStage is interpretAll as a guarded stage with its span.
+func interpretStage(cfg *CampaignConfig, seed int64, m *ir.Module, outs []compiler.ConfigResult, run func(i int, m *ir.Module) (*interp.Result, error)) (lrs []LevelResult, sf *StageFailure) {
+	t0 := cfg.Telemetry.stageStart()
+	sf = guard(StageInterpret, seed, m, func() {
+		lrs = interpretAll(outs, run)
+	})
+	cfg.Telemetry.stageDone(seed, StageInterpret, t0, spanOutcome(sf, nil))
+	return lrs, sf
+}
+
+// compareStage runs the oracles over det's report (Report, or
+// PlanReport in plan mode) under panic containment, fills in det's
+// oracle and plan, and returns the seed's verdict: ok or detection.
+func compareStage(cfg *CampaignConfig, m *ir.Module, det *Detection) (Verdict, *StageFailure) {
+	t0 := cfg.Telemetry.stageStart()
+	sf := guard(StageCompare, det.Seed, m, func() {
+		if det.PlanReport != nil {
+			det.Oracle, det.Plan = det.PlanReport.Detected()
+		} else {
+			det.Oracle = det.Report.Detected()
+		}
+	})
+	cfg.Telemetry.stageDone(det.Seed, StageCompare, t0, spanOutcome(sf, nil))
+	switch {
+	case sf != nil:
+		return Verdict{}, sf
+	case det.Oracle == OracleNone:
+		return Verdict{Seed: det.Seed, Kind: VerdictOK}, nil
+	}
+	v := Verdict{Seed: det.Seed, Kind: VerdictDetection, Oracle: det.Oracle, Plan: det.Plan}
+	if det.PlanReport != nil {
+		v.Program = ir.Fingerprint(m)
+	}
+	return v, nil
+}
+
 // attemptResult is one attempt's outcome, before retry accounting.
 type attemptResult struct {
 	verdict   Verdict
@@ -99,54 +210,11 @@ type attemptResult struct {
 	aborted   bool
 }
 
-// testSeed differentially tests one generated program, retrying
-// transient failures up to cfg.MaxRetries with exponential backoff and
-// quarantining seeds that never produce a clean attempt. One injector
-// serves all attempts, so retries see fresh fault decisions (site
-// occurrence counters advance) — the model of a transient failure.
-func testSeed(ctx context.Context, cfg *CampaignConfig, seed int64, prog *gen.Program, cov *coverage.Map) seedOutcome {
-	var inj *faultinject.Injector
-	if cfg.Faults != nil {
-		inj = faultinject.New(cfg.Faults.ForSeed(seed))
-		if cfg.Telemetry != nil {
-			inj.SetObserver(cfg.Telemetry.onFault)
-		}
-	}
-	backoff := cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	for attempt := 1; ; attempt++ {
-		var out attemptResult
-		if len(cfg.Plans) > 0 {
-			out = planTestOnce(ctx, cfg, seed, prog, inj, cov)
-		} else {
-			out = testOnce(ctx, cfg, seed, prog, inj, cov)
-		}
-		if out.aborted {
-			return seedOutcome{aborted: true}
-		}
-		if !out.transient || attempt > cfg.MaxRetries {
-			v := out.verdict
-			v.Attempts = attempt
-			v.Faults = inj.Hits()
-			if v.Kind == VerdictStageFailure || v.Kind == VerdictTimeout {
-				v.Quarantined = true
-			}
-			// The summary spans every attempt (retries are themselves
-			// deterministic per seed), so the verdict's coverage is a
-			// pure function of (config, seed).
-			v.Coverage = cov.Summary()
-			return seedOutcome{verdict: v, detection: out.detection}
-		}
-		time.Sleep(backoff << (attempt - 1))
-	}
-}
-
 // testOnce is one guarded, deadline-bounded attempt: the verify,
-// compile, interpret and compare stages of TestModule, each under
-// panic containment, with the per-program context threaded through the
-// compiler's pass pipeline and both execution engines.
+// compile, interpret and compare stages of TestModule (TestModulePlans
+// in plan mode), each under panic containment, with the per-program
+// context threaded through the compiler's pass pipeline and both
+// execution engines.
 func testOnce(ctx context.Context, cfg *CampaignConfig, seed int64, prog *gen.Program, inj *faultinject.Injector, cov *coverage.Map) attemptResult {
 	hitsBefore := inj.Hits()
 	pctx := ctx
@@ -167,94 +235,46 @@ func testOnce(ctx context.Context, cfg *CampaignConfig, seed int64, prog *gen.Pr
 		}
 	}
 
-	// Verify stage. A verification error is not a stage failure: it is
-	// the wrong-rejection half of the NC oracle, recorded per config
-	// exactly as CompileConfigs reports it.
-	var verr error
-	t0 := cfg.Telemetry.stageStart()
-	if sf := guard(StageVerify, seed, m, func() {
-		verr = verify.Module(m, dialects.SourceSpecs())
-	}); sf != nil {
-		cfg.Telemetry.stageDone(seed, StageVerify, t0, spanOutcome(sf, nil))
+	opts := &compiler.Options{Bugs: cfg.Bugs, Ctx: pctx, Faults: inj, Coverage: cov}
+	outs, verr, sf := verifyCompile(cfg, seed, m, opts)
+	if sf != nil {
 		return fail(sf)
 	}
-	cfg.Telemetry.stageDone(seed, StageVerify, t0, spanOutcome(nil, verr))
-
-	rep := &Report{
-		Preset:    cfg.Preset,
-		Reference: prog.Expected,
-		Levels:    make(map[BuildConfig]LevelResult, len(BuildConfigs)),
-	}
+	var lrs []LevelResult
 	if verr != nil {
-		for _, bc := range BuildConfigs {
-			rep.Levels[bc] = LevelResult{CompileErr: verr}
-		}
+		lrs = rejected(cfg, verr)
 	} else {
-		// Compile stage: the shared-prefix compilation of TestModule,
-		// minus the verification already done above.
-		opts := &compiler.Options{Bugs: cfg.Bugs, Ctx: pctx, Faults: inj, SkipVerify: true, Coverage: cov}
-		var outs []compiler.ConfigResult
-		tc := cfg.Telemetry.stageStart()
-		if sf := guard(StageCompile, seed, m, func() {
-			outs = compiler.CompileConfigsOpts(m, cfg.Preset, opts, BuildConfigs)
-		}); sf != nil {
-			cfg.Telemetry.stageDone(seed, StageCompile, tc, spanOutcome(sf, nil))
+		lrs, sf = interpretStage(cfg, seed, m, outs, func(_ int, m *ir.Module) (*interp.Result, error) {
+			ex := dialects.NewExecutor()
+			ex.Ctx = pctx
+			ex.Faults = inj
+			ex.Metrics = cfg.Telemetry.interpMetrics()
+			ex.Coverage = cov
+			return ex.Run(m, "main")
+		})
+		if sf != nil {
 			return fail(sf)
 		}
-		cfg.Telemetry.stageDone(seed, StageCompile, tc, "ok")
-		// Interpret stage: run each successfully compiled config.
-		ti := cfg.Telemetry.stageStart()
-		if sf := guard(StageInterpret, seed, m, func() {
-			for i, bc := range BuildConfigs {
-				var lr LevelResult
-				if outs[i].Err != nil {
-					lr.CompileErr = outs[i].Err
-				} else {
-					ex := dialects.NewExecutor()
-					ex.Ctx = pctx
-					ex.Faults = inj
-					ex.Metrics = cfg.Telemetry.interpMetrics()
-					ex.Coverage = cov
-					res, err := ex.Run(outs[i].Module, "main")
-					if err != nil {
-						lr.RunErr = err
-					} else {
-						lr.Output = res.Output
-					}
-				}
-				rep.Levels[bc] = lr
-			}
-		}); sf != nil {
-			cfg.Telemetry.stageDone(seed, StageInterpret, ti, spanOutcome(sf, nil))
-			return fail(sf)
-		}
-		cfg.Telemetry.stageDone(seed, StageInterpret, ti, "ok")
 	}
 
 	// Classification sweep: injected errors and expired budgets landed
-	// in the per-config results as CompileErr/RunErr; they must become
-	// stage-failure/timeout verdicts, not masquerade as NC detections.
+	// in the per-configuration results as CompileErr/RunErr; they must
+	// become stage-failure/timeout verdicts, not masquerade as NC
+	// detections.
 	var injectedErr error
 	var injectedStage Stage
 	timedOut := false
-	for _, bc := range BuildConfigs {
-		lr := rep.Levels[bc]
-		if e := lr.CompileErr; e != nil {
-			if faultinject.IsInjected(e) && injectedErr == nil {
-				injectedErr, injectedStage = e, StageCompile
-			}
-			if errors.Is(e, context.DeadlineExceeded) || errors.Is(e, context.Canceled) {
-				timedOut = true
-			}
+	classify := func(err error, stage Stage) {
+		if faultinject.IsInjected(err) && injectedErr == nil {
+			injectedErr, injectedStage = err, stage
 		}
-		if e := lr.RunErr; e != nil {
-			if faultinject.IsInjected(e) && injectedErr == nil {
-				injectedErr, injectedStage = e, StageInterpret
-			}
-			if errors.Is(e, context.DeadlineExceeded) || errors.Is(e, context.Canceled) {
-				timedOut = true
-			}
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			timedOut = true
 		}
+	}
+	for _, lr := range lrs {
+		classify(lr.CompileErr, StageCompile)
+		classify(lr.RunErr, StageInterpret)
 	}
 	if ctx.Err() != nil {
 		// The campaign itself was cancelled (signal, StopAtFirst):
@@ -283,29 +303,20 @@ func testOnce(ctx context.Context, cfg *CampaignConfig, seed int64, prog *gen.Pr
 		}
 	}
 
-	// Compare stage.
-	var oracle Oracle
-	tcmp := cfg.Telemetry.stageStart()
-	if sf := guard(StageCompare, seed, m, func() {
-		oracle = rep.Detected()
-	}); sf != nil {
-		cfg.Telemetry.stageDone(seed, StageCompare, tcmp, spanOutcome(sf, nil))
+	det := &Detection{Seed: seed, Program: m, Expected: prog.Expected}
+	if len(cfg.Plans) > 0 {
+		det.PlanReport = newPlanReport(prog.Expected, cfg.Plans, lrs)
+	} else {
+		det.Report = newReport(cfg.Preset, prog.Expected, lrs)
+	}
+	v, sf := compareStage(cfg, m, det)
+	if sf != nil {
 		return fail(sf)
 	}
-	cfg.Telemetry.stageDone(seed, StageCompare, tcmp, "ok")
-	if oracle == OracleNone {
-		return attemptResult{verdict: Verdict{Seed: seed, Kind: VerdictOK}}
+	if v.Kind != VerdictDetection {
+		det = nil
 	}
-	return attemptResult{
-		verdict: Verdict{Seed: seed, Kind: VerdictDetection, Oracle: oracle},
-		detection: &Detection{
-			Seed:     seed,
-			Oracle:   oracle,
-			Program:  m,
-			Expected: prog.Expected,
-			Report:   rep,
-		},
-	}
+	return attemptResult{verdict: v, detection: det}
 }
 
 // resumedDetection reconstructs the Detection entry for a seed whose

@@ -1,8 +1,8 @@
-// Campaign telemetry: the instrument bundle both campaign engines feed
-// while they run. One CampaignTelemetry owns a metrics registry and a
+// Campaign telemetry: the instrument bundle the campaign engine feeds
+// while it runs. One CampaignTelemetry owns a metrics registry and a
 // span recorder; the per-seed pipeline records a span per stage
 // (generate/verify/compile/interpret/compare, plus journal I/O), the
-// engines count verdicts as they are sequenced, the generator reports
+// sequencer counts verdicts as it sequences them, the generator reports
 // its op-coverage distribution, the interpreter its run/step counters,
 // and the shared program/pipeline caches are exported as callback
 // gauges read only at scrape time.
@@ -132,7 +132,7 @@ func NewCampaignTelemetry(reg *telemetry.Registry) *CampaignTelemetry {
 }
 
 // begin stamps the campaign's size and start time; idempotent, so a
-// resumed or restarted engine keeps the first start.
+// resumed or restarted campaign keeps the first start.
 func (t *CampaignTelemetry) begin(total int) {
 	if t == nil {
 		return
@@ -166,8 +166,8 @@ func (t *CampaignTelemetry) onFault(f faultinject.Fault) {
 }
 
 // onVerdict folds one sequenced verdict into the counters and
-// finalizes the seed's span total. Both engines call it exactly where
-// they record the verdict, so counts match the final report.
+// finalizes the seed's span total. The sequencer calls it exactly where
+// it records the verdict, so counts match the final report.
 func (t *CampaignTelemetry) onVerdict(v Verdict) {
 	if t == nil {
 		return

@@ -39,7 +39,7 @@ type StageFailure struct {
 	// Reason is the panic value or error text.
 	Reason string `json:"reason"`
 	// Stack is the goroutine stack at the panic site (empty for
-	// non-panic failures). Stacks differ across engines and runs, so
+	// non-panic failures). Stacks differ across worker counts and runs, so
 	// verdict comparison ignores them.
 	Stack string `json:"stack,omitempty"`
 	// Module is the failing program's textual form, when available —
