@@ -28,38 +28,18 @@ import (
 // fleetServe runs the coordinator: partition the campaign, serve
 // leases on o.serve, block until the merge completes (or SIGINT
 // drains), and print the merged report.
-func fleetServe(o adhocOptions) {
+func fleetServe(o options) {
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "ratte-fuzz:", err)
 		os.Exit(1)
-	}
-	if o.doReduce {
-		fatal(errors.New("-reduce is not supported with -serve; re-run the detection seed single-process"))
 	}
 	cfg, _, err := buildCampaign(o)
 	if err != nil {
 		fatal(err)
 	}
-
-	var journal *difftest.Journal
-	if o.resume && o.journal == "" {
-		fatal(errors.New("-resume needs -journal"))
-	}
-	if o.journal != "" {
-		if o.resume {
-			var resumed map[int64]difftest.Verdict
-			journal, resumed, err = difftest.OpenJournalForResume(o.journal, cfg)
-			if err == nil {
-				cfg.Resumed = resumed
-				fmt.Printf("resuming: %d of %d seeds already verdicted\n", len(resumed), o.programs)
-			}
-		} else {
-			journal, err = difftest.CreateJournal(o.journal, cfg)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Journal = journal
+	journal, err := openJournal(o, &cfg)
+	if err != nil {
+		fatal(err)
 	}
 
 	// The shard ledger rides alongside the journal by default: the pair
@@ -155,16 +135,10 @@ func fleetServe(o adhocOptions) {
 // fleetWork runs a worker against the coordinator at o.workerOf. The
 // campaign flags must match the coordinator's (the registration
 // fingerprint enforces it); -programs is taken from the coordinator.
-func fleetWork(o adhocOptions) {
+func fleetWork(o options) {
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "ratte-fuzz:", err)
 		os.Exit(1)
-	}
-	switch {
-	case o.journal != "" || o.resume:
-		fatal(errors.New("-journal/-resume belong to the coordinator, not -worker"))
-	case o.doReduce:
-		fatal(errors.New("-reduce is not supported with -worker"))
 	}
 	cfg, _, err := buildCampaign(o)
 	if err != nil {

@@ -27,7 +27,6 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"os/signal"
@@ -53,96 +52,46 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "", "table2 | table3 | table4 | throughput | dol")
-	preset := flag.String("preset", "ariths", "generator preset for ad-hoc campaigns")
-	programs := flag.Int("programs", 200, "programs per campaign")
-	size := flag.Int("size", 30, "fragments per program")
-	seed := flag.Int64("seed", 1, "base seed")
-	bugList := flag.String("bugs", "", "comma-separated injected bug ids")
-	reduceFlag := flag.Bool("reduce", false, "reduce the first detection's test case")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers (all modes); defaults to GOMAXPROCS")
-	journal := flag.String("journal", "", "append campaign verdicts to this JSONL file (ad-hoc campaigns)")
-	resume := flag.Bool("resume", false, "resume the campaign recorded in -journal, skipping verdicted seeds")
-	family := flag.Int("family", 0, "mutation-family size: test each generated program plus N-1 constant-mutated variants (ad-hoc campaigns)")
-	fuzzPipelines := flag.Int("fuzz-pipelines", 0, "phase-ordering mode: test each program under N sampled legal pass plans instead of the fixed build configurations (ad-hoc campaigns)")
-	planSeed := flag.Int64("plan-seed", 1, "seed of the sampled plan set (with -fuzz-pipelines)")
-	batched := flag.Bool("batched", false, "share verification, compilation and interpreter compilation across each mutation family")
-	timeout := flag.Duration("timeout-per-program", 0, "wall-clock budget per program (0 = unbounded)")
-	faultRate := flag.Float64("fault-rate", 0, "deterministic fault-injection rate in [0,1] (robustness testing)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed of the injected-fault schedule")
-	retries := flag.Int("retries", 2, "max retries for transiently failing programs")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on clean shutdown")
-	blockprofile := flag.String("blockprofile", "", "write a goroutine blocking profile to this file on clean shutdown")
-	mutexprofile := flag.String("mutexprofile", "", "write a mutex contention profile to this file on clean shutdown")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (ad-hoc campaigns)")
-	metricsDump := flag.String("metrics-dump", "", "write the final Prometheus metrics payload to this file (ad-hoc campaigns)")
-	coverage := flag.Bool("coverage", false, "record semantic coverage (generator choices, compiler rewrites, interpreted ops); observation-only, results are byte-identical")
-	coverageDump := flag.String("coverage-dump", "", "write the final coverage union (site hit-counts) to this file; implies -coverage")
-	progress := flag.Duration("progress", 0, "print a one-line campaign status to stderr at this interval (ad-hoc campaigns)")
-	serve := flag.String("serve", "", "fleet coordinator mode: serve the campaign's shards on this address (host:port)")
-	workerOf := flag.String("worker", "", "fleet worker mode: lease shards from this coordinator URL (http://host:port)")
-	shardSize := flag.Int("shard-size", 0, "seeds per fleet shard (0 = auto, with -serve)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "fleet shard lease expiry before re-issue (0 = 15s, with -serve)")
-	fleetToken := flag.String("fleet-token", "", "shared fleet secret; every request must carry it (both -serve and -worker)")
-	fleetLedger := flag.String("fleet-ledger", "", "coordinator shard ledger path (with -serve; defaults to <journal>.ledger when -journal is set)")
-	uploadRetries := flag.Int("upload-retries", 0, "max retries per worker upload before giving up (0 = default 5, with -worker)")
-	spoolPath := flag.String("spool", "", "worker upload spool path: shard results persist locally until acknowledged (with -worker)")
-	netFaultRate := flag.Float64("net-fault-rate", 0, "deterministic network fault-injection rate in [0,1] on the worker's wire (with -worker)")
-	netFaultSeed := flag.Int64("net-fault-seed", 1, "seed of the injected network-fault schedule (with -net-fault-rate)")
-	fleetEvents := flag.String("fleet-events", "", "append fleet lifecycle events (JSONL, keyed by campaign id) to this file (both -serve and -worker)")
-	flag.Parse()
-	if *coverageDump != "" {
-		*coverage = true
+	var o options
+	fs := newFlagSet(&o)
+	fs.Parse(os.Args[1:]) //nolint:errcheck // ExitOnError
+	if err := checkFlags(fs, o); err != nil {
+		fmt.Fprintln(os.Stderr, "ratte-fuzz:", err)
+		os.Exit(2)
+	}
+	if o.coverageDump != "" {
+		o.coverage = true
 	}
 
-	if *workers > runtime.NumCPU() {
+	if o.workers > runtime.NumCPU() {
 		// Once, to stderr: the pipelined engines cannot beat the CPU count,
 		// they only add scheduling overhead past it.
 		fmt.Fprintf(os.Stderr, "ratte-fuzz: warning: -workers=%d exceeds %d CPUs; extra workers add overhead without speedup\n",
-			*workers, runtime.NumCPU())
+			o.workers, runtime.NumCPU())
 	}
 
 	stopProfiling, err := profiling.StartProfiles(profiling.Options{
-		CPUPath: *cpuprofile, MemPath: *memprofile,
-		BlockPath: *blockprofile, MutexPath: *mutexprofile,
+		CPUPath: o.cpuprofile, MemPath: o.memprofile,
+		BlockPath: o.blockprofile, MutexPath: o.mutexprofile,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ratte-fuzz:", err)
 		os.Exit(1)
 	}
 
-	switch *experiment {
+	switch o.experiment {
 	case "table2":
-		table2(*programs, *size, *seed, *workers)
+		table2(o.programs, o.size, o.seed, o.workers)
 	case "table3":
-		table3(*programs, *size, *seed, *workers)
+		table3(o.programs, o.size, o.seed, o.workers)
 	case "table4":
-		table4(*programs, *size, *seed, *workers)
+		table4(o.programs, o.size, o.seed, o.workers)
 	case "throughput":
-		throughput(*programs, *size, *seed, *workers)
+		throughput(o.programs, o.size, o.seed, o.workers)
 	case "dol":
-		dol(*programs, *size, *seed, *workers)
+		dol(o.programs, o.size, o.seed, o.workers)
 	case "":
-		o := adhocOptions{
-			preset: *preset, programs: *programs, size: *size, seed: *seed,
-			bugList: *bugList, doReduce: *reduceFlag, workers: *workers,
-			journal: *journal, resume: *resume, timeout: *timeout,
-			family: *family, batched: *batched,
-			fuzzPipelines: *fuzzPipelines, planSeed: *planSeed,
-			faultRate: *faultRate, faultSeed: *faultSeed, retries: *retries,
-			metricsAddr: *metricsAddr, metricsDump: *metricsDump, progress: *progress,
-			coverage: *coverage, coverageDump: *coverageDump,
-			serve: *serve, workerOf: *workerOf, shardSize: *shardSize, leaseTTL: *leaseTTL,
-			fleetToken: *fleetToken, fleetLedger: *fleetLedger,
-			uploadRetries: *uploadRetries, spoolPath: *spoolPath,
-			netFaultRate: *netFaultRate, netFaultSeed: *netFaultSeed,
-			fleetEvents: *fleetEvents,
-		}
 		switch {
-		case o.serve != "" && o.workerOf != "":
-			fmt.Fprintln(os.Stderr, "ratte-fuzz: -serve and -worker are mutually exclusive")
-			os.Exit(1)
 		case o.serve != "":
 			fleetServe(o)
 		case o.workerOf != "":
@@ -151,7 +100,7 @@ func main() {
 			adhoc(o)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "ratte-fuzz: unknown experiment", *experiment)
+		fmt.Fprintln(os.Stderr, "ratte-fuzz: unknown experiment", o.experiment)
 		os.Exit(1)
 	}
 	// Error paths above os.Exit directly and deliberately drop the
@@ -398,53 +347,11 @@ func dol(programs, size int, seed int64, workers int) {
 	fmt.Printf("%-12s %-10d %-12d %8.2f%%\n", "MLIRSmith", compiled, alarms, pct(alarms, max(compiled, 1)))
 }
 
-// adhocOptions is the flag bundle of a plain campaign.
-type adhocOptions struct {
-	preset    string
-	programs  int
-	size      int
-	seed      int64
-	bugList   string
-	doReduce  bool
-	workers   int
-	journal   string
-	resume    bool
-	timeout   time.Duration
-	faultRate float64
-	faultSeed int64
-	retries   int
-	family    int
-	batched   bool
-
-	fuzzPipelines int
-	planSeed      int64
-
-	metricsAddr string
-	metricsDump string
-	progress    time.Duration
-
-	coverage     bool
-	coverageDump string
-
-	serve     string
-	workerOf  string
-	shardSize int
-	leaseTTL  time.Duration
-
-	fleetToken    string
-	fleetLedger   string
-	uploadRetries int
-	spoolPath     string
-	netFaultRate  float64
-	netFaultSeed  int64
-	fleetEvents   string
-}
-
 // buildCampaign assembles the campaign configuration shared by the
 // single-process, fleet-coordinator and fleet-worker modes. The bug
 // set is returned separately because the reduction path re-tests
 // against it.
-func buildCampaign(o adhocOptions) (difftest.CampaignConfig, bugs.Set, error) {
+func buildCampaign(o options) (difftest.CampaignConfig, bugs.Set, error) {
 	bugSet := bugs.None()
 	for _, part := range strings.Split(o.bugList, ",") {
 		if part = strings.TrimSpace(part); part == "" {
@@ -508,7 +415,7 @@ func buildCampaign(o adhocOptions) (difftest.CampaignConfig, bugs.Set, error) {
 
 // adhoc runs a plain campaign: fault-isolated, optionally journaled and
 // resumable, interruptible by SIGINT/SIGTERM with a graceful drain.
-func adhoc(o adhocOptions) {
+func adhoc(o options) {
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "ratte-fuzz:", err)
 		os.Exit(1)
@@ -518,26 +425,9 @@ func adhoc(o adhocOptions) {
 		fatal(err)
 	}
 
-	var journal *difftest.Journal
-	if o.resume && o.journal == "" {
-		fatal(errors.New("-resume needs -journal"))
-	}
-	if o.journal != "" {
-		var err error
-		if o.resume {
-			var resumed map[int64]difftest.Verdict
-			journal, resumed, err = difftest.OpenJournalForResume(o.journal, cfg)
-			if err == nil {
-				cfg.Resumed = resumed
-				fmt.Printf("resuming: %d of %d seeds already verdicted\n", len(resumed), o.programs)
-			}
-		} else {
-			journal, err = difftest.CreateJournal(o.journal, cfg)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Journal = journal
+	journal, err := openJournal(o, &cfg)
+	if err != nil {
+		fatal(err)
 	}
 	closeJournal := func() {
 		if journal == nil {
@@ -707,6 +597,27 @@ func adhoc(o adhocOptions) {
 		fmt.Printf("reduced test case (%d ops -> %d ops):\n%s\n",
 			prog.NumOps(), small.NumOps(), ir.Print(small))
 	}
+}
+
+// openJournal attaches o.journal to cfg: created fresh, or with
+// -resume reopened with its recorded verdicts spliced into
+// cfg.Resumed. It returns nil without -journal.
+func openJournal(o options, cfg *difftest.CampaignConfig) (*difftest.Journal, error) {
+	if o.journal == "" {
+		return nil, nil
+	}
+	if !o.resume {
+		j, err := difftest.CreateJournal(o.journal, *cfg)
+		cfg.Journal = j
+		return j, err
+	}
+	j, resumed, err := difftest.OpenJournalForResume(o.journal, *cfg)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("resuming: %d of %d seeds already verdicted\n", len(resumed), o.programs)
+	cfg.Journal, cfg.Resumed = j, resumed
+	return j, nil
 }
 
 func pct(n, total int) float64 { return 100 * float64(n) / float64(total) }

@@ -3,19 +3,19 @@
 // configuration; every following line is one seed's final Verdict, in
 // seed order. A journal plus the original flags reproduces the exact
 // final report — the verdicts ARE the campaign, because programs are
-// regenerable from their seeds.
+// regenerable from their seeds. The file mechanics, shared with the
+// fleet's shard ledger and upload spool, are internal/jsonl's.
 package difftest
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"sort"
-	"sync/atomic"
 
 	"ratte/internal/compiler"
+	"ratte/internal/jsonl"
 )
 
 // journalVersion guards the on-disk format.
@@ -75,52 +75,23 @@ func headerFor(cfg *CampaignConfig) journalHeader {
 	return h
 }
 
-func headerMatches(a, b journalHeader) bool {
-	if a.Version != b.Version || a.Preset != b.Preset || a.Size != b.Size ||
-		a.Seed != b.Seed || a.FaultSeed != b.FaultSeed || a.FaultRate != b.FaultRate ||
-		a.Family != b.Family || a.PlanCount != b.PlanCount || a.PlanSet != b.PlanSet ||
-		len(a.Bugs) != len(b.Bugs) {
-		return false
-	}
-	for i := range a.Bugs {
-		if a.Bugs[i] != b.Bugs[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Journal is an open campaign journal accepting verdict appends. It is
 // not safe for concurrent use; the campaign engine's sequencer is its
 // only writer and appends from a single goroutine, which is also what
 // keeps the journal in seed order.
 type Journal struct {
-	f    *os.File
+	log  *jsonl.Log
 	path string
-	// I/O accounting, atomic because telemetry's export-time gauges
-	// read them from scrape goroutines while the campaign appends.
-	lines atomic.Int64
-	bytes atomic.Int64
 }
 
 // CreateJournal starts a fresh journal at path, truncating any
 // existing file, and writes the config header.
 func CreateJournal(path string, cfg CampaignConfig) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	log, err := jsonl.Create(path, headerFor(&cfg))
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
-	line, err := json.Marshal(headerFor(&cfg))
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	if err := j.writeLine(line); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return &Journal{log: log, path: path}, nil
 }
 
 // OpenJournalForResume reads the journal at path, validates its header
@@ -128,134 +99,61 @@ func CreateJournal(path string, cfg CampaignConfig) (*Journal, error) {
 // with the recorded verdicts keyed by seed (for CampaignConfig.Resumed).
 //
 // A torn final line — the crash the journal exists to survive — is
-// recovered, not fatal: every complete verdict line is kept, the
-// partial tail is dropped, and the journal is compacted via a
-// write-to-temp-then-rename so the recovery itself is atomic.
+// recovered, not fatal: every complete verdict line is kept and the
+// file is truncated after it (see internal/jsonl). An empty journal,
+// left by a crash inside CreateJournal, starts afresh; a missing one is
+// an error.
 func OpenJournalForResume(path string, cfg CampaignConfig) (*Journal, map[int64]Verdict, error) {
-	data, err := os.ReadFile(path)
+	want, err := json.Marshal(headerFor(&cfg))
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	lines := bytes.Split(data, []byte("\n"))
-	// A well-formed journal ends in "\n", leaving one empty trailing
-	// element; anything else after the last newline is a torn write.
-	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
-		lines = lines[:n-1]
-	}
-	if len(lines) == 0 {
-		return nil, nil, fmt.Errorf("journal: %s is empty", path)
-	}
-
-	var hdr journalHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return nil, nil, fmt.Errorf("journal: %s: bad header: %w", path, err)
-	}
-	want := headerFor(&cfg)
-	if !headerMatches(hdr, want) {
-		return nil, nil, fmt.Errorf("journal: %s was recorded under a different campaign config (preset/size/seed/bugs/faults/plans must match)", path)
-	}
-
-	resumed := make(map[int64]Verdict, len(lines)-1)
-	good := 1 // lines[:good] are intact (header included)
-	for _, line := range lines[1:] {
+	resumed := make(map[int64]Verdict)
+	log, err := jsonl.Open(path, func(line []byte) error {
+		if !bytes.Equal(line, want) {
+			return fmt.Errorf("%s was recorded under a different campaign config (preset/size/seed/bugs/faults/plans must match)", path)
+		}
+		return nil
+	}, func(line []byte) error {
+		// A corrupt middle line ends the intact prefix too: skipping
+		// it would silently skip seeds, so re-run from the break.
 		var v Verdict
 		if err := json.Unmarshal(line, &v); err != nil {
-			// Torn or corrupt line: everything before it stands,
-			// everything from here on is dropped. Only the final line
-			// can legitimately be torn; a corrupt middle line would
-			// silently skip seeds, so re-run from the break instead.
-			break
+			return err
 		}
 		resumed[v.Seed] = v
-		good++
+		return nil
+	})
+	if errors.Is(err, jsonl.ErrEmpty) {
+		j, err := CreateJournal(path, cfg)
+		return j, resumed, err
 	}
-
-	if good != len(lines) {
-		if err := compactJournal(path, lines[:good]); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{f: f, path: path}, resumed, nil
+	return &Journal{log: log, path: path}, resumed, nil
 }
 
-// compactJournal rewrites the journal to exactly the given intact
-// lines, atomically: the replacement is fully written and synced to a
-// sibling temp file before a rename swaps it in, so a crash during
-// recovery leaves either the old journal or the recovered one — never
-// a half-written hybrid.
-func compactJournal(path string, lines [][]byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: recover: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, line := range lines {
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: recover: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: recover: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: recover: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("journal: recover: %w", err)
-	}
-	return nil
-}
-
-// Append records one verdict. The line is marshaled first and handed
-// to the kernel in a single Write call, so a crash mid-campaign can
+// Append records one verdict as one line. A crash mid-campaign can
 // tear at most the final line — exactly the case OpenJournalForResume
 // recovers.
 func (j *Journal) Append(v Verdict) error {
-	line, err := json.Marshal(v)
-	if err != nil {
+	if err := j.log.Append(v); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	return j.writeLine(line)
-}
-
-func (j *Journal) writeLine(line []byte) error {
-	buf := make([]byte, 0, len(line)+1)
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
-	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.lines.Add(1)
-	j.bytes.Add(int64(len(buf)))
 	return nil
 }
 
 // Written reports the lines (header included) and bytes this handle
 // has appended. Safe for concurrent use.
-func (j *Journal) Written() (lines, bytes int64) {
-	return j.lines.Load(), j.bytes.Load()
-}
+func (j *Journal) Written() (lines, bytes int64) { return j.log.Written() }
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
 // Close flushes and closes the journal file.
 func (j *Journal) Close() error {
-	if err := j.f.Sync(); err != nil {
-		j.f.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := j.f.Close(); err != nil {
+	if err := j.log.Close(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil

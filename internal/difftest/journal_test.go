@@ -199,3 +199,78 @@ func TestJournalHeaderMismatch(t *testing.T) {
 		t.Fatalf("resumed %d verdicts, want 3", len(resumed))
 	}
 }
+
+// TestJournalLostFinalNewline: a final verdict line that lost only its
+// newline counts as torn. Keeping it would glue the resumed run's first
+// append onto it, and the next resume would lose both lines.
+func TestJournalLostFinalNewline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.jsonl")
+	runJournaled(t, path, journalCfg(10))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := journalCfg(12)
+	j, resumed, err := difftest.OpenJournalForResume(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != 9 {
+		t.Fatalf("recovered %d verdicts, want 9 (the unterminated line is torn)", len(resumed))
+	}
+	cfg.Resumed, cfg.Journal = resumed, j
+	_, err = difftest.RunCampaign(cfg)
+	j.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	j, resumed, err = difftest.OpenJournalForResume(path, journalCfg(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(resumed) != 12 {
+		t.Fatalf("second resume recovered %d verdicts, want 12", len(resumed))
+	}
+}
+
+// TestJournalEmptyResumes: an empty journal — a crash between
+// CreateJournal's truncate and its header write — resumes as a fresh
+// one instead of failing forever; a missing journal stays an error.
+func TestJournalEmptyResumes(t *testing.T) {
+	dir := t.TempDir()
+	if _, _, err := difftest.OpenJournalForResume(filepath.Join(dir, "missing.jsonl"), journalCfg(4)); err == nil {
+		t.Fatal("missing journal resumed")
+	}
+
+	path := filepath.Join(dir, "campaign.jsonl")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := journalCfg(4)
+	j, resumed, err := difftest.OpenJournalForResume(path, cfg)
+	if err != nil {
+		t.Fatalf("empty journal: %v", err)
+	}
+	if len(resumed) != 0 {
+		t.Fatalf("empty journal recovered %d verdicts", len(resumed))
+	}
+	cfg.Journal = j
+	_, err = difftest.RunCampaign(cfg)
+	j.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, "fresh.jsonl")
+	runJournaled(t, fresh, journalCfg(4))
+	a, _ := os.ReadFile(path)
+	b, _ := os.ReadFile(fresh)
+	if string(a) != string(b) {
+		t.Fatalf("journal resumed from empty differs from a fresh one:\n%s---\n%s", a, b)
+	}
+}

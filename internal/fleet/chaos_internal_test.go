@@ -206,6 +206,131 @@ func TestSpoolRoundTrip(t *testing.T) {
 	}
 }
 
+// stripFinalNewline leaves the file's last line unterminated, as a
+// crash can when the newline is the only byte of a record not to land.
+func stripFinalNewline(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(data, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLedgerLostFinalNewline: an unterminated final grant is torn, not
+// kept. Keeping it would glue the restarted coordinator's next grant
+// onto it, and a second restart would lose both — and re-issue an
+// epoch it had already granted.
+func TestLedgerLostFinalNewline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.ledger")
+	fp := []byte(`{"cfg":1}`)
+	l, err := createLedger(path, fp, 4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := int64(1); epoch <= 3; epoch++ {
+		if err := l.append(ledgerEntry{Grant: &ledgerGrant{Shard: 0, Epoch: epoch, Worker: "w1"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stripFinalNewline(t, path)
+
+	l2, st, err := openLedgerForResume(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.nextEpoch != 2 {
+		t.Fatalf("recovered nextEpoch %d, want 2 (the unterminated grant is torn)", st.nextEpoch)
+	}
+	if err := l2.append(ledgerEntry{Grant: &ledgerGrant{Shard: 0, Epoch: 3, Worker: "w1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, st, err = openLedgerForResume(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.nextEpoch != 3 {
+		t.Fatalf("post-recovery grant lost: nextEpoch %d, want 3", st.nextEpoch)
+	}
+}
+
+// TestSpoolLostFinalNewline: an unterminated final upload mark is torn,
+// so its entry stays pending, and the marks written after recovery
+// survive the next reopen.
+func TestSpoolLostFinalNewline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.spool")
+	fp := []byte(`{"cfg":1}`)
+	s, _, err := openSpool(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard := 0; shard < 2; shard++ {
+		if err := s.add(spoolEntry{Shard: shard, Epoch: 1, First: 4 * shard, Count: 4, Body: []byte("gzip")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.markUploaded(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stripFinalNewline(t, path)
+
+	s2, pending, err := openSpool(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 2 {
+		t.Fatalf("reopened spool has %d pending entries, want 2 (the unterminated mark is torn)", len(pending))
+	}
+	if err := s2.markUploaded(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, pending, err = openSpool(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 1 || pending[0].Shard != 0 {
+		t.Fatalf("after a post-recovery mark, pending = %+v, want shard 0 only", pending)
+	}
+}
+
+// TestCoordinatorEmptyLedgerResumes: an empty ledger — a crash between
+// createLedger's truncate and its header write — lets -serve -resume
+// start afresh instead of refusing forever, as a missing one does.
+func TestCoordinatorEmptyLedgerResumes(t *testing.T) {
+	lpath := filepath.Join(t.TempDir(), "fleet.ledger")
+	if err := os.WriteFile(lpath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCoordinator(CoordinatorConfig{
+		Campaign: testCampaign(12), ShardSize: 4, LedgerPath: lpath, ResumeLedger: true,
+	})
+	if err != nil {
+		t.Fatalf("empty ledger: %v", err)
+	}
+	c.Close()
+	_, st, err := openLedgerForResume(lpath, []byte(c.fingerprint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st == nil || st.shardSize != 4 || st.programs != 12 {
+		t.Fatalf("restarted ledger state %+v, want a fresh header for 12 programs in shards of 4", st)
+	}
+}
+
 // TestFleetTokenAuth: with a token configured, protocol requests
 // without it (or with the wrong one) are rejected 401 and counted;
 // the right token passes through to the handler.

@@ -74,8 +74,9 @@ type CoordinatorConfig struct {
 	// ResumeLedger recovers coordinator state from an existing ledger
 	// at LedgerPath: the shard partitioning is pinned to the recorded
 	// one and the epoch/worker-id counters resume above every value
-	// the pre-crash coordinator issued. A missing ledger file falls
-	// back to a fresh one (recovery then rests on the journal alone).
+	// the pre-crash coordinator issued. A missing or empty ledger file
+	// falls back to a fresh one (recovery then rests on the journal
+	// alone).
 	ResumeLedger bool
 	// MaxUploadBytes caps one shard result body (0 = 1 GiB).
 	MaxUploadBytes int64
@@ -227,11 +228,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	var led *ledger
 	var lst *ledgerState
 	if cfg.LedgerPath != "" && cfg.ResumeLedger {
-		if _, statErr := os.Stat(cfg.LedgerPath); statErr == nil {
-			led, lst, err = openLedgerForResume(cfg.LedgerPath, fp)
-			if err != nil {
-				return nil, err
-			}
+		led, lst, err = openLedgerForResume(cfg.LedgerPath, fp)
+		if err != nil {
+			return nil, err
 		}
 	}
 

@@ -12,18 +12,19 @@
 // The ledger is advisory where the journal is authoritative: shard
 // done-ness on recovery comes from the journal's verdicts (the ledger
 // stores none), and a missing or torn ledger only costs re-derived
-// state, never correctness. Like the journal, a torn final line — the
-// crash the ledger exists to survive — is recovered by truncating to
-// the last intact line.
+// state, never correctness. The file mechanics — one-Write appends and
+// torn-tail recovery — are the journal's and the spool's, internal/jsonl.
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"strconv"
 	"strings"
+
+	"ratte/internal/jsonl"
 )
 
 // ledgerVersion guards the on-disk format.
@@ -90,76 +91,49 @@ type ledgerState struct {
 // ledger is an open shard ledger accepting event appends. Not safe for
 // concurrent use; the coordinator appends under its own mutex.
 type ledger struct {
-	f    *os.File
-	path string
+	log *jsonl.Log
 }
 
 // createLedger starts a fresh ledger at path, truncating any existing
 // file, and writes the partitioning header.
 func createLedger(path string, fingerprint []byte, shardSize, programs int) (*ledger, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
-	l := &ledger{f: f, path: path}
-	hdr := ledgerHeader{
+	log, err := jsonl.Create(path, ledgerHeader{
 		Version:     ledgerVersion,
 		Fingerprint: json.RawMessage(fingerprint),
 		ShardSize:   shardSize,
 		Programs:    programs,
-	}
-	line, err := json.Marshal(hdr)
+	})
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("fleet: ledger: %w", err)
 	}
-	if err := l.writeLine(line); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
+	return &ledger{log: log}, nil
 }
 
 // openLedgerForResume replays the ledger at path, validates its
 // fingerprint against the campaign's, truncates any torn tail, and
 // returns the ledger reopened for appending together with the
-// recovered control-plane state.
+// recovered control-plane state. A missing or empty ledger (a crash
+// inside createLedger) returns all nils: there is no state to recover,
+// and the caller starts a fresh one.
 func openLedgerForResume(path string, fingerprint []byte) (*ledger, *ledgerState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
-		lines = lines[:n-1]
-	}
-	if len(lines) == 0 {
-		return nil, nil, fmt.Errorf("fleet: ledger: %s is empty", path)
-	}
-
-	var hdr ledgerHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return nil, nil, fmt.Errorf("fleet: ledger: %s: bad header: %w", path, err)
-	}
-	if hdr.Version != ledgerVersion {
-		return nil, nil, fmt.Errorf("fleet: ledger: %s has version %d, want %d", path, hdr.Version, ledgerVersion)
-	}
-	if string(hdr.Fingerprint) != string(fingerprint) {
-		return nil, nil, fmt.Errorf("fleet: ledger: %s was recorded under a different campaign config", path)
-	}
-
-	st := &ledgerState{
-		shardSize: hdr.ShardSize,
-		programs:  hdr.Programs,
-		done:      make(map[int]bool),
-	}
-	goodBytes := len(lines[0]) + 1
-	for _, line := range lines[1:] {
+	st := &ledgerState{done: make(map[int]bool)}
+	log, err := jsonl.Open(path, func(line []byte) error {
+		var hdr ledgerHeader
+		if err := json.Unmarshal(line, &hdr); err != nil {
+			return fmt.Errorf("%s: bad header: %w", path, err)
+		}
+		if hdr.Version != ledgerVersion {
+			return fmt.Errorf("%s has version %d, want %d", path, hdr.Version, ledgerVersion)
+		}
+		if string(hdr.Fingerprint) != string(fingerprint) {
+			return fmt.Errorf("%s was recorded under a different campaign config", path)
+		}
+		st.shardSize, st.programs = hdr.ShardSize, hdr.Programs
+		return nil
+	}, func(line []byte) error {
 		var e ledgerEntry
 		if err := json.Unmarshal(line, &e); err != nil {
-			// Torn tail: everything before it stands; truncate below so
-			// post-recovery appends land on an intact line boundary.
-			break
+			return err
 		}
 		switch {
 		case e.Worker != nil:
@@ -173,50 +147,25 @@ func openLedgerForResume(path string, fingerprint []byte) (*ledger, *ledgerState
 		case e.Splice != nil:
 			st.done[e.Splice.Shard] = true
 		}
-		goodBytes += len(line) + 1
+		return nil
+	})
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, jsonl.ErrEmpty) {
+		return nil, nil, nil
 	}
-	if goodBytes < len(data) {
-		if err := os.Truncate(path, int64(goodBytes)); err != nil {
-			return nil, nil, fmt.Errorf("fleet: ledger: recover: %w", err)
-		}
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: ledger: %w", err)
 	}
-	return &ledger{f: f, path: path}, st, nil
+	return &ledger{log: log}, st, nil
 }
 
-// append records one event. Like the journal, the line is handed to
-// the kernel in a single Write call, so a crash can tear at most the
-// final line.
+// append records one event as one line, so a crash can tear at most
+// the final line.
 func (l *ledger) append(e ledgerEntry) error {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	return l.writeLine(line)
-}
-
-func (l *ledger) writeLine(line []byte) error {
-	buf := make([]byte, 0, len(line)+1)
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
-	if _, err := l.f.Write(buf); err != nil {
+	if err := l.log.Append(e); err != nil {
 		return fmt.Errorf("fleet: ledger: %w", err)
 	}
 	return nil
 }
 
 // Close flushes and closes the ledger file.
-func (l *ledger) Close() error {
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	return nil
-}
+func (l *ledger) Close() error { return l.log.Close() }

@@ -7,14 +7,19 @@
 // every un-acknowledged entry before leasing new work. Uploads are
 // idempotent — the coordinator discards a shard it already holds — so
 // replaying the spool after a mid-body disconnect can only ever be a
-// no-op or the delivery that was lost.
+// no-op or the delivery that was lost. Its file mechanics are the
+// journal's and the ledger's, internal/jsonl.
 package fleet
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
+	"slices"
+
+	"ratte/internal/jsonl"
 )
 
 // spoolVersion guards the on-disk format.
@@ -54,8 +59,7 @@ type spoolMark struct {
 // spool is an open upload spool. Not safe for concurrent use; the
 // worker appends from its single shard loop.
 type spool struct {
-	f    *os.File
-	path string
+	log *jsonl.Log
 }
 
 // openSpool opens (or creates) the spool at path for the campaign
@@ -65,123 +69,65 @@ type spool struct {
 // simply re-leased and re-run, which is always safe. A spool recorded
 // under a different campaign fingerprint is refused.
 func openSpool(path string, fingerprint []byte) (*spool, []spoolEntry, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) || (err == nil && len(data) == 0) {
-		f, cerr := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if cerr != nil {
-			return nil, nil, fmt.Errorf("fleet: spool: %w", cerr)
-		}
-		s := &spool{f: f, path: path}
-		line, merr := json.Marshal(spoolHeader{Version: spoolVersion, Fingerprint: json.RawMessage(fingerprint)})
-		if merr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("fleet: spool: %w", merr)
-		}
-		if werr := s.writeLine(line); werr != nil {
-			f.Close()
-			return nil, nil, werr
-		}
-		return s, nil, nil
-	}
+	hdr := spoolHeader{Version: spoolVersion, Fingerprint: json.RawMessage(fingerprint)}
+	want, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: spool: %w", err)
 	}
-
-	lines := bytes.Split(data, []byte("\n"))
-	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
-		lines = lines[:n-1]
+	var pending []spoolEntry
+	find := func(shard int, epoch int64) int {
+		return slices.IndexFunc(pending, func(e spoolEntry) bool { return e.Shard == shard && e.Epoch == epoch })
 	}
-	var hdr spoolHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return nil, nil, fmt.Errorf("fleet: spool: %s: bad header: %w", path, err)
-	}
-	if hdr.Version != spoolVersion {
-		return nil, nil, fmt.Errorf("fleet: spool: %s has version %d, want %d", path, hdr.Version, spoolVersion)
-	}
-	if string(hdr.Fingerprint) != string(fingerprint) {
-		return nil, nil, fmt.Errorf("fleet: spool: %s was recorded under a different campaign config", path)
-	}
-
-	type key struct {
-		shard int
-		epoch int64
-	}
-	var order []key
-	entries := make(map[key]spoolEntry)
-	goodBytes := len(lines[0]) + 1
-	for _, line := range lines[1:] {
+	log, err := jsonl.Open(path, func(line []byte) error {
+		if !bytes.Equal(line, want) {
+			return fmt.Errorf("%s was recorded under a different campaign config", path)
+		}
+		return nil
+	}, func(line []byte) error {
 		var r spoolRecord
 		if err := json.Unmarshal(line, &r); err != nil {
-			break // torn tail; truncate below
+			return err
 		}
 		switch {
 		case r.Entry != nil:
-			k := key{r.Entry.Shard, r.Entry.Epoch}
-			if _, seen := entries[k]; !seen {
-				order = append(order, k)
+			if i := find(r.Entry.Shard, r.Entry.Epoch); i >= 0 {
+				pending[i] = *r.Entry
+			} else {
+				pending = append(pending, *r.Entry)
 			}
-			entries[k] = *r.Entry
 		case r.Uploaded != nil:
-			delete(entries, key{r.Uploaded.Shard, r.Uploaded.Epoch})
+			if i := find(r.Uploaded.Shard, r.Uploaded.Epoch); i >= 0 {
+				pending = slices.Delete(pending, i, i+1)
+			}
 		}
-		goodBytes += len(line) + 1
+		return nil
+	})
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, jsonl.ErrEmpty) {
+		log, err = jsonl.Create(path, hdr)
 	}
-	if goodBytes < len(data) {
-		if err := os.Truncate(path, int64(goodBytes)); err != nil {
-			return nil, nil, fmt.Errorf("fleet: spool: recover: %w", err)
-		}
-	}
-
-	var pending []spoolEntry
-	for _, k := range order {
-		if e, ok := entries[k]; ok {
-			pending = append(pending, e)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: spool: %w", err)
 	}
-	return &spool{f: f, path: path}, pending, nil
+	return &spool{log: log}, pending, nil
 }
 
 // add spools one completed shard before its upload is attempted.
 func (s *spool) add(e spoolEntry) error {
-	line, err := json.Marshal(spoolRecord{Entry: &e})
-	if err != nil {
-		return fmt.Errorf("fleet: spool: %w", err)
-	}
-	return s.writeLine(line)
+	return s.append(spoolRecord{Entry: &e})
 }
 
 // markUploaded acknowledges an entry after the coordinator accepted
 // (or duplicate-discarded) it, so a later replay skips it.
 func (s *spool) markUploaded(shard int, epoch int64) error {
-	line, err := json.Marshal(spoolRecord{Uploaded: &spoolMark{Shard: shard, Epoch: epoch}})
-	if err != nil {
-		return fmt.Errorf("fleet: spool: %w", err)
-	}
-	return s.writeLine(line)
+	return s.append(spoolRecord{Uploaded: &spoolMark{Shard: shard, Epoch: epoch}})
 }
 
-func (s *spool) writeLine(line []byte) error {
-	buf := make([]byte, 0, len(line)+1)
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
-	if _, err := s.f.Write(buf); err != nil {
+func (s *spool) append(r spoolRecord) error {
+	if err := s.log.Append(r); err != nil {
 		return fmt.Errorf("fleet: spool: %w", err)
 	}
 	return nil
 }
 
 // Close flushes and closes the spool file.
-func (s *spool) Close() error {
-	if err := s.f.Sync(); err != nil {
-		s.f.Close()
-		return fmt.Errorf("fleet: spool: %w", err)
-	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("fleet: spool: %w", err)
-	}
-	return nil
-}
+func (s *spool) Close() error { return s.log.Close() }
