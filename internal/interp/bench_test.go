@@ -1,10 +1,7 @@
 package interp_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -156,51 +153,5 @@ func BenchmarkInterpCompile(b *testing.B) {
 		if interp.Compile(reg, m) == nil {
 			b.Fatal("nil program")
 		}
-	}
-}
-
-// TestEmitInterpBench regenerates BENCH_interp.json, the
-// machine-readable record of interpreter hot-path performance. Skipped
-// unless RATTE_BENCH_JSON=1 (timing runs have no place in the ordinary
-// suite):
-//
-//	RATTE_BENCH_JSON=1 go test -run TestEmitInterpBench -v ./internal/interp
-func TestEmitInterpBench(t *testing.T) {
-	if os.Getenv("RATTE_BENCH_JSON") != "1" {
-		t.Skip("set RATTE_BENCH_JSON=1 to regenerate BENCH_interp.json")
-	}
-	workloads := []struct{ name, src string }{
-		{"straight_line_60", straightLineSrc(60)},
-		{"scf_loop_2000", scfLoopSrc(2000)},
-		{"cf_loop_2000", cfLoopSrc(2000)},
-	}
-	record := map[string]any{
-		"benchmark": "interp",
-		"cpus":      runtime.NumCPU(),
-	}
-	results := map[string]any{}
-	for _, w := range workloads {
-		m, err := ir.Parse(w.src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree := testing.Benchmark(func(b *testing.B) { benchTree(b, m) })
-		comp := testing.Benchmark(func(b *testing.B) { benchCompiled(b, m) })
-		speedup := float64(tree.NsPerOp()) / float64(comp.NsPerOp())
-		results[w.name] = map[string]any{
-			"tree":     map[string]any{"ns_per_op": tree.NsPerOp(), "allocs_per_op": tree.AllocsPerOp()},
-			"compiled": map[string]any{"ns_per_op": comp.NsPerOp(), "allocs_per_op": comp.AllocsPerOp()},
-			"speedup":  speedup,
-		}
-		t.Logf("%s: tree %d ns/op (%d allocs), compiled %d ns/op (%d allocs), %.2fx",
-			w.name, tree.NsPerOp(), tree.AllocsPerOp(), comp.NsPerOp(), comp.AllocsPerOp(), speedup)
-	}
-	record["workloads"] = results
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_interp.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

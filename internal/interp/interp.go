@@ -786,9 +786,6 @@ func (ctx *Context) Lookup(id string) (rtval.Value, bool) {
 	return ctx.env.Lookup(id)
 }
 
-// VisibleIDs returns the IDs visible from the innermost scope.
-func (ctx *Context) VisibleIDs() []string { return ctx.env.VisibleKeys() }
-
 // AllocBuffer allocates backing storage for a memref of the given shape
 // and element type, with every cell initialised to undef.
 func (ctx *Context) AllocBuffer(shape []int64, elem ir.Type) rtval.MemRef {

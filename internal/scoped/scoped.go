@@ -84,21 +84,6 @@ func (t *Table[V]) Bind(key string, v V) {
 	t.scopes[len(t.scopes)-1].vals[key] = v
 }
 
-// Update rebinds key in the innermost *visible* scope where it is bound.
-// It returns an error if key is not visible.
-func (t *Table[V]) Update(key string, v V) error {
-	for i := len(t.scopes) - 1; i >= 0; i-- {
-		if _, ok := t.scopes[i].vals[key]; ok {
-			t.scopes[i].vals[key] = v
-			return nil
-		}
-		if t.scopes[i].kind == IsolatedFromAbove {
-			break
-		}
-	}
-	return fmt.Errorf("scoped: update of unbound key %q", key)
-}
-
 // Lookup resolves key through the visible scopes: from the innermost
 // scope outward, stopping at (and including) the first
 // IsolatedFromAbove scope.
@@ -113,44 +98,4 @@ func (t *Table[V]) Lookup(key string) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// VisibleKeys returns every key visible from the innermost scope.
-// Shadowed keys are reported once. Order is unspecified.
-func (t *Table[V]) VisibleKeys() []string {
-	seen := make(map[string]bool)
-	var keys []string
-	for i := len(t.scopes) - 1; i >= 0; i-- {
-		for k := range t.scopes[i].vals {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-		if t.scopes[i].kind == IsolatedFromAbove {
-			break
-		}
-	}
-	return keys
-}
-
-// InInnermost reports whether key is bound in the innermost scope.
-func (t *Table[V]) InInnermost(key string) bool {
-	_, ok := t.scopes[len(t.scopes)-1].vals[key]
-	return ok
-}
-
-// Snapshot returns a shallow copy of the table that can diverge from the
-// original by pushes/pops/defines (scope maps are copied, values are
-// shared). Generators use snapshots to explore candidate extensions.
-func (t *Table[V]) Snapshot() *Table[V] {
-	c := &Table[V]{scopes: make([]scope[V], len(t.scopes))}
-	for i, s := range t.scopes {
-		m := make(map[string]V, len(s.vals))
-		for k, v := range s.vals {
-			m[k] = v
-		}
-		c.scopes[i] = scope[V]{vals: m, kind: s.kind}
-	}
-	return c
 }

@@ -1,9 +1,6 @@
 package scoped
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDefineLookup(t *testing.T) {
 	tab := New[int]()
@@ -65,41 +62,6 @@ func TestIsolatedFromAboveHidesParent(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	tab := New[int]()
-	mustDefine(t, tab, "x", 1)
-	tab.Push(Standard)
-	if err := tab.Update("x", 5); err != nil {
-		t.Fatal(err)
-	}
-	tab.Pop()
-	if v, _ := tab.Lookup("x"); v != 5 {
-		t.Error("update should rebind in the defining scope")
-	}
-	tab.Push(IsolatedFromAbove)
-	if err := tab.Update("x", 9); err == nil {
-		t.Error("update through an isolated boundary must fail")
-	}
-}
-
-func TestVisibleKeys(t *testing.T) {
-	tab := New[int]()
-	mustDefine(t, tab, "a", 1)
-	mustDefine(t, tab, "b", 2)
-	tab.Push(Standard)
-	mustDefine(t, tab, "b", 3) // shadows
-	mustDefine(t, tab, "c", 4)
-	keys := tab.VisibleKeys()
-	if len(keys) != 3 {
-		t.Errorf("VisibleKeys = %v, want 3 distinct", keys)
-	}
-	tab.Push(IsolatedFromAbove)
-	mustDefine(t, tab, "d", 5)
-	if keys := tab.VisibleKeys(); len(keys) != 1 || keys[0] != "d" {
-		t.Errorf("isolated VisibleKeys = %v", keys)
-	}
-}
-
 func TestPopOutermostPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -110,78 +72,22 @@ func TestPopOutermostPanics(t *testing.T) {
 }
 
 func TestInInnermost(t *testing.T) {
-	tab := New[int]()
-	mustDefine(t, tab, "x", 1)
+	tab := NewSlotTable()
+	tab.Push(Standard)
+	tab.Alloc("x")
 	tab.Push(Standard)
 	if tab.InInnermost("x") {
 		t.Error("x is in the parent, not innermost")
 	}
-	mustDefine(t, tab, "x", 2)
+	tab.Alloc("x")
 	if !tab.InInnermost("x") {
 		t.Error("x now bound in innermost")
 	}
 }
 
-func TestSnapshotIsIndependent(t *testing.T) {
-	tab := New[int]()
-	mustDefine(t, tab, "x", 1)
-	snap := tab.Snapshot()
-	mustDefine(t, snap, "y", 2)
-	if _, ok := tab.Lookup("y"); ok {
-		t.Error("snapshot define leaked into original")
-	}
-	if err := snap.Update("x", 9); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := tab.Lookup("x"); v != 1 {
-		t.Error("snapshot update leaked into original")
-	}
-	if tab.Depth() != snap.Depth() {
-		t.Error("snapshot depth mismatch")
-	}
-}
-
-// Property: after any sequence of push/define/pop, lookups in the
-// original table are unaffected by operations on a snapshot.
-func TestSnapshotProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
-		tab := New[int]()
-		mustDefineQ(tab, "k0", 0)
-		for i, op := range ops {
-			switch op % 3 {
-			case 0:
-				tab.Push(Standard)
-			case 1:
-				if tab.Depth() > 1 {
-					tab.Pop()
-				}
-			case 2:
-				_ = tab.Define(key(i), i)
-			}
-		}
-		before := tab.VisibleKeys()
-		snap := tab.Snapshot()
-		snap.Push(IsolatedFromAbove)
-		_ = snap.Define("poison", 1)
-		after := tab.VisibleKeys()
-		return len(before) == len(after)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func key(i int) string { return "k" + string(rune('a'+i%26)) }
-
 func mustDefine[V any](t *testing.T, tab *Table[V], k string, v V) {
 	t.Helper()
 	if err := tab.Define(k, v); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func mustDefineQ[V any](tab *Table[V], k string, v V) {
-	if err := tab.Define(k, v); err != nil {
-		panic(err)
 	}
 }

@@ -133,32 +133,14 @@ func (t *SlotTable) Resolve(key string) (SlotRef, bool) {
 	return SlotRef{}, false
 }
 
-// ResolveAll returns every visible binding of key, innermost-out,
-// honouring IsolatedFromAbove barriers. The first element is what
-// Resolve returns; later elements are outer bindings the innermost one
-// shadows. The compiled interpreter uses the tail to emulate the tree
+// ResolveShadowed returns the outer bindings of key hidden behind the
+// binding at scope depth, innermost-out, honouring IsolatedFromAbove
+// barriers. The compiled interpreter uses them to emulate the tree
 // walker's dynamic lookup exactly: a pre-allocated inner slot that has
 // not been written yet must fall through to the shadowed outer binding,
-// just as Table.Lookup would before the inner Bind happens.
-func (t *SlotTable) ResolveAll(key string) []SlotRef {
-	var refs []SlotRef
-	for i := t.live - 1; i >= 0; i-- {
-		if slot, ok := t.scopes[i].find(key); ok {
-			refs = append(refs, SlotRef{Slot: slot, Depth: i})
-		}
-		if t.scopes[i].kind == IsolatedFromAbove {
-			break
-		}
-	}
-	return refs
-}
-
-// ResolveShadowed returns the outer bindings of key hidden behind the
-// binding at scope depth — the tail ResolveAll would return after its
-// first element. Shadowing is rare (SSA ids are normally unique within
-// a function), so the common result is nil with no allocation; this is
-// what the interpreter compiler calls per operand instead of
-// ResolveAll.
+// just as Table.Lookup would before the inner Bind happens. Shadowing is
+// rare (SSA ids are normally unique within a function), so the common
+// result is nil with no allocation.
 func (t *SlotTable) ResolveShadowed(key string, depth int) []SlotRef {
 	if depth < 0 || depth >= t.live || t.scopes[depth].kind == IsolatedFromAbove {
 		return nil

@@ -1,6 +1,9 @@
 package semantics_test
 
 import (
+	"fmt"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"ratte/internal/dialects"
@@ -188,5 +191,232 @@ func TestCandidatesDeterministic(t *testing.T) {
 			ids = append(ids, x.Val.ID)
 		}
 		t.Errorf("candidate order %v, want numeric [1 2 10]", ids)
+	}
+}
+
+// refStore is the store's type table as it was before the candidate
+// index: a stack of maps, queried by collecting the visible keys and
+// insertion-sorting them with a strconv-based comparison. It is the
+// reference the index must agree with, entry for entry.
+type refStore struct {
+	scopes []refScope
+}
+
+type refScope struct {
+	kind scoped.ScopeType
+	vals map[string]semantics.Candidate
+}
+
+func newRefStore() *refStore {
+	return &refStore{scopes: []refScope{{kind: scoped.Standard, vals: map[string]semantics.Candidate{}}}}
+}
+
+func (r *refStore) push(kind scoped.ScopeType) {
+	r.scopes = append(r.scopes, refScope{kind: kind, vals: map[string]semantics.Candidate{}})
+}
+
+func (r *refStore) pop() { r.scopes = r.scopes[:len(r.scopes)-1] }
+
+// define reports whether the binding is accepted (no same-scope
+// redefinition).
+func (r *refStore) define(c semantics.Candidate) bool {
+	in := r.scopes[len(r.scopes)-1].vals
+	if _, dup := in[c.Val.ID]; dup {
+		return false
+	}
+	in[c.Val.ID] = c
+	return true
+}
+
+func (r *refStore) candidates(pred func(v ir.Value, rt rtval.Value) bool) []semantics.Candidate {
+	seen := map[string]bool{}
+	var ids []string
+	for i := len(r.scopes) - 1; i >= 0; i-- {
+		for k := range r.scopes[i].vals {
+			if !seen[k] {
+				seen[k] = true
+				ids = append(ids, k)
+			}
+		}
+		if r.scopes[i].kind == scoped.IsolatedFromAbove {
+			break
+		}
+	}
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && refLess(ids[j], ids[j-1]); j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+		}
+	}
+	var out []semantics.Candidate
+	for _, id := range ids {
+		var c semantics.Candidate
+		for i := len(r.scopes) - 1; i >= 0; i-- {
+			if v, ok := r.scopes[i].vals[id]; ok {
+				c = v
+				break
+			}
+		}
+		if pred == nil || pred(c.Val, c.RT) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// refLess orders IDs numerically when both are numeric, lexically
+// otherwise, so %2 < %10.
+func refLess(a, b string) bool {
+	na, ea := strconv.Atoi(a)
+	nb, eb := strconv.Atoi(b)
+	if ea == nil && eb == nil {
+		return na < nb
+	}
+	if (ea == nil) != (eb == nil) {
+		return ea == nil
+	}
+	return a < b
+}
+
+func sameCandidates(got, want []semantics.Candidate) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].Val.ID != want[i].Val.ID || !ir.TypeEqual(got[i].Val.Type, want[i].Val.Type) ||
+			got[i].RT.String() != want[i].RT.String() {
+			return false
+		}
+	}
+	return true
+}
+
+func candidateIDs(cs []semantics.Candidate) []string {
+	ids := make([]string, len(cs))
+	for i, c := range cs {
+		ids[i] = c.Val.ID
+	}
+	return ids
+}
+
+// TestCandidatesMatchReference drives random sequences of scope pushes
+// and pops, applied constants with fresh numeric IDs, and argN block
+// arguments (non-numeric, often bound before the numeric values of the
+// same or an inner scope, sometimes shadowing an enclosing argN), and
+// checks after every step that the candidate index returns exactly the
+// reference order — unfiltered and filtered — and still rejects a
+// same-scope redefinition.
+func TestCandidatesMatchReference(t *testing.T) {
+	types := []ir.Type{ir.I8, ir.I32, ir.I64}
+	isI64 := func(v ir.Value, rt rtval.Value) bool { return ir.TypeEqual(v.Type, ir.I64) }
+	for seed := int64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s, ref := newStore(), newRefStore()
+		depth, fresh := 1, 0
+		// defined remembers accepted bindings since the last pop, so a
+		// rebinding attempt can reuse the same payload.
+		var defined []semantics.Candidate
+		for step := 0; step < 80; step++ {
+			switch k := r.Intn(10); {
+			case k == 0:
+				s.PushScope(scoped.Standard)
+				ref.push(scoped.Standard)
+				depth++
+			case k == 1:
+				s.PushScope(scoped.IsolatedFromAbove)
+				ref.push(scoped.IsolatedFromAbove)
+				depth++
+			case k == 2 && depth > 1:
+				s.PopScope()
+				ref.pop()
+				depth--
+				defined = nil
+			case k <= 4:
+				v := ir.V(fmt.Sprintf("arg%d", r.Intn(3)), types[r.Intn(len(types))])
+				w, _ := ir.BitWidth(v.Type)
+				c := semantics.Candidate{Val: v, RT: rtval.NewInt(w, int64(r.Intn(100)))}
+				if ok := ref.define(c); ok != (s.BindArg(c.Val, c.RT) == nil) {
+					t.Fatalf("seed %d step %d: BindArg %s accepted=%v by the reference only", seed, step, v.ID, ok)
+				} else if ok {
+					defined = append(defined, c)
+				}
+			case k == 5 && len(defined) > 0:
+				// Rebind an earlier value with its own payload, so a
+				// rejected attempt cannot change the interpretation: a
+				// same-scope redefinition or a shadowing one.
+				c := defined[r.Intn(len(defined))]
+				if ok := ref.define(c); ok != (s.BindArg(c.Val, c.RT) == nil) {
+					t.Fatalf("seed %d step %d: rebinding %s accepted=%v by the reference only", seed, step, c.Val.ID, ok)
+				}
+			default:
+				ty := types[r.Intn(len(types))]
+				op := constOp(strconv.Itoa(fresh), int64(r.Intn(100)), ty)
+				fresh++
+				if err := s.Apply(op); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				rt, _ := s.Value(op.Results[0].ID)
+				c := semantics.Candidate{Val: op.Results[0], RT: rt}
+				if !ref.define(c) {
+					t.Fatalf("seed %d step %d: reference rejected fresh %s", seed, step, c.Val.ID)
+				}
+				defined = append(defined, c)
+			}
+			if got, want := s.Candidates(nil), ref.candidates(nil); !sameCandidates(got, want) {
+				t.Fatalf("seed %d step %d: Candidates(nil) = %v, want %v", seed, step, candidateIDs(got), candidateIDs(want))
+			}
+			if got, want := s.ScalarsOfType(ir.I64), ref.candidates(isI64); !sameCandidates(got, want) {
+				t.Fatalf("seed %d step %d: ScalarsOfType(i64) = %v, want %v", seed, step, candidateIDs(got), candidateIDs(want))
+			}
+		}
+	}
+}
+
+// TestApplyRejectsSameScopeRedefinition: SSA IDs are unique within a
+// scope (the first undesirable behaviour of the paper's Figure 4); an
+// inner scope may shadow.
+func TestApplyRejectsSameScopeRedefinition(t *testing.T) {
+	s := newStore()
+	s.PushScope(scoped.IsolatedFromAbove)
+	if err := s.Apply(constOp("0", 1, ir.I64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(constOp("0", 1, ir.I64)); err == nil {
+		t.Error("same-scope redefinition must be rejected")
+	}
+	s.PushScope(scoped.Standard)
+	if err := s.Apply(constOp("0", 2, ir.I64)); err != nil {
+		t.Errorf("shadowing in an inner scope: %v", err)
+	}
+	if c := s.Candidates(nil); len(c) != 1 || c[0].RT.(rtval.Int).Signed() != 2 {
+		t.Errorf("shadowed candidates = %v, want the inner binding only", c)
+	}
+}
+
+// TestCandidatesAllocateOnlyTheResult guards the index's scaling: a
+// query walks the visible values in place, so it makes one allocation
+// (its result) however many values are visible.
+func TestCandidatesAllocateOnlyTheResult(t *testing.T) {
+	for _, n := range []int{10, 500} {
+		t.Run(strconv.Itoa(n), func(t *testing.T) {
+			s := newStore()
+			s.PushScope(scoped.IsolatedFromAbove)
+			for i := 0; i < n; i++ {
+				if i == n/2 {
+					s.PushScope(scoped.Standard)
+				}
+				if err := s.Apply(constOp(s.FreshID(), int64(i), ir.I64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if len(s.Candidates(nil)) != n || len(s.ScalarsOfType(ir.I64)) != n {
+					t.Fatal("wrong candidate count")
+				}
+			})
+			// Two queries per run, one result slice each.
+			if allocs > 2 {
+				t.Errorf("two queries over %d values allocated %.1f per run, want <= 2", n, allocs)
+			}
+		})
 	}
 }
