@@ -72,9 +72,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	if *metricsAddr != "" {
-		// Long -check campaigns are the use case: the process-wide
-		// default registry picks up the shared program/pipeline cache
-		// gauges so a live scrape shows cache effectiveness mid-run.
+		// Long -check campaigns are the use case: a live scrape shows
+		// the process gauges (goroutines, heap, GC cycles) and the
+		// pprof endpoints mid-run.
 		profiling.EnableContention(0, 0)
 		reg := telemetry.Default()
 		telemetry.RegisterProcessMetrics(reg)

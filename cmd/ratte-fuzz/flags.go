@@ -78,8 +78,8 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.batched, "batched", false, "share verification, compilation and interpreter compilation across each mutation family")
 	fs.DurationVar(&o.timeout, "timeout-per-program", 0, "wall-clock budget per program (0 = unbounded)")
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "deterministic fault-injection rate in [0,1] (robustness testing)")
-	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed of the injected-fault schedule")
-	fs.IntVar(&o.retries, "retries", 2, "max retries for transiently failing programs")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed of the injected-fault schedule (with -fault-rate)")
+	fs.IntVar(&o.retries, "retries", 2, "max retries for transiently failing programs (with -fault-rate: only injected faults are transient)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on clean shutdown")
 	fs.StringVar(&o.blockprofile, "blockprofile", "", "write a goroutine blocking profile to this file on clean shutdown")
@@ -149,8 +149,23 @@ var flagModes = map[string]int{
 	"fleet-events":        modeFleet,
 }
 
+// flagNeeds lists the flags that take effect only alongside another:
+// setting one while its enabler is off is a usage error. Only injected
+// faults make an attempt transient, so -retries needs -fault-rate.
+var flagNeeds = []struct {
+	flag, needs string
+	enabled     func(o options) bool
+}{
+	{"resume", "journal", func(o options) bool { return o.journal != "" }},
+	{"plan-seed", "fuzz-pipelines", func(o options) bool { return o.fuzzPipelines > 0 }},
+	{"fault-seed", "fault-rate", func(o options) bool { return o.faultRate > 0 }},
+	{"retries", "fault-rate", func(o options) bool { return o.faultRate > 0 }},
+	{"net-fault-seed", "net-fault-rate", func(o options) bool { return o.netFaultRate > 0 }},
+}
+
 // checkFlags rejects a command line that sets a flag its mode would
-// silently ignore, or that combines flags that contradict each other.
+// silently ignore, sets a flag without the one that enables it, or
+// combines flags that contradict each other.
 // Contradictory campaign knobs are the library's to reject
 // (buildCampaign).
 func checkFlags(fs *flag.FlagSet, o options) error {
@@ -175,8 +190,12 @@ func checkFlags(fs *flag.FlagSet, o options) error {
 	if len(bad) > 0 {
 		return fmt.Errorf("%s would be ignored by %s", strings.Join(bad, ", "), name)
 	}
-	if o.resume && o.journal == "" {
-		return errors.New("-resume needs -journal")
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, n := range flagNeeds {
+		if set[n.flag] && !n.enabled(o) {
+			return fmt.Errorf("-%s needs -%s", n.flag, n.needs)
+		}
 	}
 	return nil
 }

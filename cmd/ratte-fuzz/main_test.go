@@ -53,6 +53,13 @@ func TestCheckFlagsRejects(t *testing.T) {
 		{serve + " -worker=http://127.0.0.1:7777", "mutually exclusive"},
 		{camp + " -resume", "-resume needs -journal"},
 		{serve + " -resume", "-resume needs -journal"},
+		// Dependent flags without the flag that enables them.
+		{camp + " -plan-seed=3", "-plan-seed needs -fuzz-pipelines"},
+		{camp + " -fault-seed=5", "-fault-seed needs -fault-rate"},
+		{camp + " -fault-rate=0 -fault-seed=5", "-fault-seed needs -fault-rate"},
+		{camp + " -retries=4", "-retries needs -fault-rate"},
+		{serve + " -retries=4", "-retries needs -fault-rate"},
+		{worker + " -net-fault-seed=11", "-net-fault-seed needs -net-fault-rate"},
 		{worker + " -journal=j.jsonl", "-journal"},
 		{worker + " -journal=j.jsonl -resume", "-journal, -resume"},
 		{worker + " -reduce", "-reduce"},

@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"ratte/internal/bugs"
 	"ratte/internal/coverage"
@@ -268,62 +266,6 @@ func (c Config) String() string {
 	return s
 }
 
-// pipelineKey indexes the memoized pipeline cache.
-type pipelineKey struct {
-	preset     string
-	level      OptLevel
-	skipExpand bool
-}
-
-var (
-	pipelineCache sync.Map // pipelineKey -> *Pipeline
-
-	// Pipeline-cache accounting, exported through PipelineCacheStats
-	// so telemetry (and tests) can see memoization working without
-	// reaching into the sync.Map.
-	pipelineCacheHits   atomic.Uint64
-	pipelineCacheMisses atomic.Uint64
-)
-
-// CachedPipeline returns the shared Pipeline for (preset, level,
-// skipExpand), building it on first use. Pipelines hold only stateless
-// pass functions, so one instance is safe to run from any number of
-// goroutines; callers must not mutate the returned pipeline.
-func CachedPipeline(preset string, level OptLevel, skipExpand bool) (*Pipeline, error) {
-	key := pipelineKey{preset, level, skipExpand}
-	if p, ok := pipelineCache.Load(key); ok {
-		pipelineCacheHits.Add(1)
-		return p.(*Pipeline), nil
-	}
-	names, err := PipelineForConfig(preset, level, skipExpand)
-	if err != nil {
-		return nil, err
-	}
-	pipe, err := NewPipeline(names...)
-	if err != nil {
-		return nil, err
-	}
-	pipelineCacheMisses.Add(1)
-	p, loaded := pipelineCache.LoadOrStore(key, pipe)
-	if loaded {
-		// Another goroutine built it first; the build above was wasted
-		// work but the lookup still resolved from the cache.
-		pipelineCacheHits.Add(1)
-	}
-	return p.(*Pipeline), nil
-}
-
-// PipelineCacheStats reports the memoized pipeline cache's hit/miss
-// counters and current size. Safe for concurrent use; the size walk
-// takes the sync.Map's usual weakly-consistent snapshot.
-func PipelineCacheStats() (hits, misses uint64, size int) {
-	pipelineCache.Range(func(_, _ any) bool {
-		size++
-		return true
-	})
-	return pipelineCacheHits.Load(), pipelineCacheMisses.Load(), size
-}
-
 // ConfigResult is one configuration's outcome under CompileConfigs:
 // either the lowered module or a compile-time rejection.
 type ConfigResult struct {
@@ -484,7 +426,11 @@ func (c *Compiler) Compile(m *ir.Module, preset string) (*ir.Module, error) {
 	if err := verify.Module(m, dialects.SourceSpecs()); err != nil {
 		return nil, err
 	}
-	pipe, err := CachedPipeline(preset, c.Level, c.SkipArithExpand)
+	names, err := PipelineForConfig(preset, c.Level, c.SkipArithExpand)
+	if err != nil {
+		return nil, err
+	}
+	pipe, err := NewPipeline(names...)
 	if err != nil {
 		return nil, err
 	}

@@ -68,16 +68,6 @@ var (
 			linalg.Specs(),
 		)
 	})
-	// Shared program caches for the compiled execution engine, one per
-	// registry: difftest runs every generated module once per build
-	// configuration plus the reference run, and each of those reuses
-	// the compiled artifact instead of re-walking the module.
-	sourceProgramCache = sync.OnceValue(func() *interp.ProgramCache {
-		return interp.NewProgramCache(0)
-	})
-	executorProgramCache = sync.OnceValue(func() *interp.ProgramCache {
-		return interp.NewProgramCache(0)
-	})
 	allSpecs = sync.OnceValue(func() verify.Registry {
 		internal := verify.Registry{
 			"ratte.generate_into": {NumRegions: 1},
@@ -132,13 +122,12 @@ func NewReferenceInterpreter() *interp.Interpreter {
 }
 
 // NewCompiledReferenceInterpreter builds the reference interpreter with
-// the compiled execution engine and the shared source-level program
-// cache — for callers that run whole modules repeatedly (UB-free
-// classification, corpus replay) rather than evaluating incrementally.
+// the compiled execution engine — for callers that run whole modules
+// (UB-free classification, corpus replay) rather than evaluating
+// incrementally. Each Run compiles afresh; nothing is memoized.
 func NewCompiledReferenceInterpreter() *interp.Interpreter {
 	in := sourceRegistry().NewInterpreter()
 	in.Compiled = true
-	in.Cache = sourceProgramCache()
 	return in
 }
 
@@ -147,25 +136,22 @@ func NewCompiledReferenceInterpreter() *interp.Interpreter {
 // level (this mirrors mlir-cpu-runner accepting mixed modules as long
 // as each op has a registered lowering or runtime implementation). The
 // underlying kernel registry is memoized and the compiled execution
-// engine is on by default, sharing one program cache across all
-// executors — the difftest hot loop runs each lowered module through
-// a compiled artifact instead of tree-walking it.
+// engine is on by default: the difftest hot loop runs each lowered
+// module through a compiled artifact instead of tree-walking it. Every
+// executor accounts its compiles in ExecutorProgramCache.
 func NewExecutor() *interp.Interpreter {
 	in := executorRegistry().NewInterpreter()
 	in.Compiled = true
-	in.Cache = executorProgramCache()
+	in.Cache = &executorProgramCache
 	return in
 }
 
-// SourceProgramCache returns the shared compiled-program cache of the
-// source-level registry (the reference interpreter's). Exposed so
-// telemetry can export its hit/miss/eviction counters and so the
-// admission-policy tests can observe caching decisions.
-func SourceProgramCache() *interp.ProgramCache { return sourceProgramCache() }
+// executorProgramCache accounts the compiles of every executor.
+var executorProgramCache interp.ProgramCache
 
-// ExecutorProgramCache returns the shared compiled-program cache of
-// the full executor registry (the campaign hot loop's).
-func ExecutorProgramCache() *interp.ProgramCache { return executorProgramCache() }
+// ExecutorProgramCache returns the compile accounting shared by every
+// executor (the campaign hot loop's); it memoizes nothing.
+func ExecutorProgramCache() *interp.ProgramCache { return &executorProgramCache }
 
 // NewTreeWalkingExecutor builds the executor without the compiled
 // engine. The conformance harness uses it as the independent side of

@@ -237,7 +237,8 @@ func TestFaultedCampaignDeterminism(t *testing.T) {
 // TestUnaffectedSeedsMatchFaultFreeRun: seeds where no fault fired must
 // be byte-identical to the fault-free campaign — injection must have
 // zero blast radius beyond the seeds it actually touched (in
-// particular, no poisoning through shared compiled-program caches).
+// particular, nothing shared across seeds, such as a compiled-program
+// memo, may carry a fault to another seed).
 func TestUnaffectedSeedsMatchFaultFreeRun(t *testing.T) {
 	base := difftest.CampaignConfig{
 		Preset:   "ariths",

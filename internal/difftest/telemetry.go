@@ -4,8 +4,8 @@
 // (generate/verify/compile/interpret/compare, plus journal I/O), the
 // sequencer counts verdicts as it sequences them, the generator reports
 // its op-coverage distribution, the interpreter its run/step counters,
-// and the shared program/pipeline caches are exported as callback
-// gauges read only at scrape time.
+// and the executor's compile accounting is exported as callback gauges
+// read only at scrape time.
 //
 // Everything here is observation: a campaign with telemetry attached
 // produces the byte-identical ReportText of one without, serial or
@@ -42,8 +42,8 @@ const journalStage = "journal"
 // methods are safe on a nil receiver and from concurrent workers.
 type CampaignTelemetry struct {
 	// Registry holds every metric this campaign emits (plus the
-	// process-wide cache gauges). Export it via PrometheusText /
-	// Snapshot, or serve it with telemetry.Serve.
+	// process-wide executor compile gauges). Export it via
+	// PrometheusText / Snapshot, or serve it with telemetry.Serve.
 	Registry *telemetry.Registry
 	// Spans is the stage-span recorder behind the latency table and
 	// the slowest-seeds list.
@@ -77,9 +77,8 @@ type CampaignTelemetry struct {
 
 // NewCampaignTelemetry builds the campaign instrument bundle on the
 // given registry (a fresh private registry when reg is nil). The
-// shared program caches and the compiler's pipeline cache are
-// registered as callback gauges — their counters are always on inside
-// the caches; exporting them costs nothing until scraped.
+// executor's compile accounting is registered as callback gauges — its
+// counters are always on; exporting them costs nothing until scraped.
 func NewCampaignTelemetry(reg *telemetry.Registry) *CampaignTelemetry {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -116,18 +115,7 @@ func NewCampaignTelemetry(reg *telemetry.Registry) *CampaignTelemetry {
 	t.genM = gen.NewMetrics(reg)
 	t.interpM = interp.NewMetrics(reg)
 
-	interp.RegisterProgramCacheMetrics(reg, "source", dialects.SourceProgramCache())
 	interp.RegisterProgramCacheMetrics(reg, "executor", dialects.ExecutorProgramCache())
-	reg.GaugeFunc("ratte_compiler_pipeline_cache_hits", "memoized pass-pipeline lookups served from cache",
-		func() int64 { h, _, _ := compiler.PipelineCacheStats(); return int64(h) })
-	reg.GaugeFunc("ratte_compiler_pipeline_cache_misses", "pass-pipeline builds", func() int64 {
-		_, m, _ := compiler.PipelineCacheStats()
-		return int64(m)
-	})
-	reg.GaugeFunc("ratte_compiler_pipeline_cache_size", "distinct memoized pipelines", func() int64 {
-		_, _, s := compiler.PipelineCacheStats()
-		return int64(s)
-	})
 	return t
 }
 
@@ -258,22 +246,10 @@ func (t *CampaignTelemetry) interpMetrics() *interp.Metrics {
 	return t.interpM
 }
 
-// CacheHitRate returns the executor program cache's lifetime hit rate
-// in [0,1] (0 with no lookups).
-func CacheHitRate() float64 {
-	st := dialects.ExecutorProgramCache().StatsDetail()
-	total := st.Hits + st.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(st.Hits) / float64(total)
-}
-
 // ProgressLine renders the one-line live status the -progress flag
-// prints: seeds done/total, verdict tallies, throughput, cache hit
-// rate and ETA. Safe to call from any goroutine while the campaign
-// runs; returns "" when telemetry is off or the campaign has not
-// started.
+// prints: seeds done/total, verdict tallies, throughput and ETA. Safe
+// to call from any goroutine while the campaign runs; returns "" when
+// telemetry is off or the campaign has not started.
 func (t *CampaignTelemetry) ProgressLine() string {
 	if t == nil {
 		return ""
@@ -302,16 +278,15 @@ func (t *CampaignTelemetry) ProgressLine() string {
 	fmt.Fprintf(&b, " | ok:%d det:%d fail:%d to:%d",
 		t.vOK.Value(), t.vDetection.Value(), t.vFailure.Value(), t.vTimeout.Value())
 	fmt.Fprintf(&b, " | %.1f/sec", rate)
-	fmt.Fprintf(&b, " | cache %.1f%%", 100*CacheHitRate())
 	fmt.Fprintf(&b, " | eta %s", eta)
 	return b.String()
 }
 
 // ReportSection renders the telemetry appendix of the final report:
-// the per-stage latency table, the slowest-N seeds, and cache
-// effectiveness. Timings vary run to run, so this section is printed
-// after — never inside — the canonical ReportText the determinism
-// guards compare. Returns "" when telemetry is off.
+// the per-stage latency table and the slowest-N seeds. Timings vary
+// run to run, so this section is printed after — never inside — the
+// canonical ReportText the determinism guards compare. Returns "" when
+// telemetry is off.
 func (t *CampaignTelemetry) ReportSection() string {
 	if t == nil {
 		return ""
@@ -320,15 +295,5 @@ func (t *CampaignTelemetry) ReportSection() string {
 	if n <= 0 {
 		n = DefaultSlowestN
 	}
-	var b strings.Builder
-	b.WriteString(t.Spans.ReportSection(n))
-	ex := dialects.ExecutorProgramCache().StatsDetail()
-	src := dialects.SourceProgramCache().StatsDetail()
-	fmt.Fprintf(&b, "  program cache (executor): %d hits, %d misses, %d evictions, %d entries\n",
-		ex.Hits, ex.Misses, ex.Evictions, ex.Size)
-	fmt.Fprintf(&b, "  program cache (source):   %d hits, %d misses, %d evictions, %d entries\n",
-		src.Hits, src.Misses, src.Evictions, src.Size)
-	ph, pm, ps := compiler.PipelineCacheStats()
-	fmt.Fprintf(&b, "  pipeline cache: %d hits, %d misses, %d pipelines\n", ph, pm, ps)
-	return b.String()
+	return t.Spans.ReportSection(n)
 }

@@ -145,18 +145,18 @@ func TestCampaignTelemetryCounters(t *testing.T) {
 	text := tel.Registry.PrometheusText()
 	for _, want := range []string{
 		"ratte_campaign_verdicts_total", "ratte_stage_latency_ns_bucket",
-		"ratte_interp_program_cache_hits", "ratte_gen_ops_total",
+		"ratte_interp_program_cache_misses", "ratte_gen_ops_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Prometheus export missing %s", want)
 		}
 	}
 	section := tel.ReportSection()
-	if !strings.Contains(section, "telemetry:") || !strings.Contains(section, "program cache") {
-		t.Errorf("report section incomplete:\n%s", section)
+	if !strings.Contains(section, "telemetry:") || strings.Contains(section, "cache") {
+		t.Errorf("report section incomplete or reports a cache:\n%s", section)
 	}
 	line := tel.ProgressLine()
-	if !strings.Contains(line, "progress: 24/24") {
+	if !strings.Contains(line, "progress: 24/24") || strings.Contains(line, "cache") {
 		t.Errorf("progress line = %q", line)
 	}
 }

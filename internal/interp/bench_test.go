@@ -114,10 +114,9 @@ func benchCompiled(b *testing.B, m *ir.Module) {
 }
 
 // BenchmarkInterpStraightLine: per-run cost on a 60-op straight line.
-// The compiled numbers here exclude Compile itself (amortized via the
-// program cache in real use); the tiering runs these modules on the
-// tree walker precisely because one uncached compile costs more than
-// one walk.
+// The compiled numbers here exclude Compile itself; the tiering runs
+// these modules on the tree walker precisely because one compile costs
+// more than one walk.
 func BenchmarkInterpStraightLine(b *testing.B) {
 	m := mustParseB(b, straightLineSrc(60))
 	b.Run("tree", func(b *testing.B) { benchTree(b, m) })

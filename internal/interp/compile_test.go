@@ -169,26 +169,6 @@ func TestCompiledResultFidelity(t *testing.T) {
 	}
 }
 
-// TestProgramCacheAdmission checks the fingerprint admission counter:
-// the first sightings of a module compile directly (misses, no entry),
-// and from the third on the text-keyed cache serves hits.
-func TestProgramCacheAdmission(t *testing.T) {
-	m := mustParse(t, straightLineSrc(8))
-	reg := dialects.ExecutorRegistry()
-	c := interp.NewProgramCache(0)
-	for i := 0; i < 5; i++ {
-		if c.Get(reg, m) == nil {
-			t.Fatal("cache returned nil program")
-		}
-	}
-	hits, misses, size := c.Stats()
-	// Sightings 1 and 2 miss by design; sighting 3 prints, misses and
-	// inserts; sightings 4 and 5 hit.
-	if hits != 2 || misses != 3 || size != 1 {
-		t.Errorf("hits=%d misses=%d size=%d, want 2/3/1", hits, misses, size)
-	}
-}
-
 // TestFingerprintStability: the structural hash is a function of the
 // module's printed identity — reparsing the printed form fingerprints
 // the same, and a one-constant change fingerprints differently.

@@ -1,4 +1,4 @@
-// Frames, pooling and the program cache: the allocation side of the
+// Frames, pooling and compile accounting: the allocation side of the
 // compiled engine. A Frame is the flat []rtval.Value a compiled
 // function executes over — one slot per binding the function can ever
 // create, indexed by the slots Compile assigned. Frames are recycled
@@ -89,168 +89,44 @@ func releaseContext(ctx *Context) {
 	ctxPool.Put(ctx)
 }
 
-// ProgramCache memoizes Compile results across runs. The difftest
-// harness runs every generated program once per build configuration
-// plus once under the reference semantics, and the conformance corpus
-// replays modules repeatedly — each of those re-executions reuses the
-// compiled artifact instead of re-walking the module.
-//
-// Keys pair the exact registry pointer with the module's printed form:
-// registries are immutable and shared (package dialects memoizes them),
-// and the printed text is the module's identity — structurally
-// identical modules hit the same entry even when rebuilt at different
-// addresses, which is exactly what the campaign's shared-prefix
-// compilation produces. The cache is safe for concurrent use.
-//
-// Printing a module costs about as much as compiling it, and a fuzzing
-// campaign runs every module once or twice — a cache that printed and
-// retained each of those would be pure overhead, in both the printing
-// work and the GC cost of every retained entry (an entry pins its whole
-// module). A fingerprint admission counter fixes the economics: the
-// first two sightings of a module's structural hash compile directly,
-// paying neither the printed key nor the retention; only the third
-// sighting — the point at which caching breaks even — takes the
-// text-keyed path and earns a cache entry. Soundness is unaffected
-// because the text stays the true key — a hash collision merely sends
-// an unrelated module down the (correct, slower) printed path.
+// ProgramCache accounts the compiles of the interpreters it is
+// attached to: each Get compiles the module afresh, counting one miss
+// and the compile's wall time. It memoizes nothing. A campaign runs
+// every freshly generated module once per build configuration, so a
+// cross-program memo measured 0 hits on every benchmark workload while
+// holding most of linalg's resident memory. The type keeps its cache
+// name, and CacheStats its always-zero Hits, only because the benchmark
+// reads dialects.ExecutorProgramCache().StatsDetail(); the rename waits
+// for the next change to the benchmark. The zero value is ready to use
+// and safe for concurrent use.
 type ProgramCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[programKey]*CompiledProgram
-	seen    map[seenKey]uint8
-	hits    uint64
-	misses  uint64
-	// Always-on accounting beyond hit/miss: evictions, and the time
-	// spent inside Compile on the miss paths. Timing only ever brackets
-	// a compilation — a heavyweight, off-hot-path event — so keeping it
-	// unconditional costs nothing measurable and lets telemetry export
-	// cache behaviour without touching the run path.
-	evictions    uint64
+	misses       atomic.Uint64
 	compileNanos atomic.Int64
 }
 
-type programKey struct {
-	registry *Registry
-	text     string
-}
-
-// seenKey records one sighted module fingerprint per registry.
-type seenKey struct {
-	registry *Registry
-	fp       uint64
-}
-
-// DefaultProgramCacheSize bounds a cache built with NewProgramCache(0).
-const DefaultProgramCacheSize = 512
-
-// NewProgramCache builds a cache holding at most max programs
-// (DefaultProgramCacheSize if max <= 0). Eviction is arbitrary: the
-// cache is a throughput device, not a correctness one.
-func NewProgramCache(max int) *ProgramCache {
-	if max <= 0 {
-		max = DefaultProgramCacheSize
-	}
-	return &ProgramCache{
-		max:     max,
-		entries: make(map[programKey]*CompiledProgram),
-		seen:    make(map[seenKey]uint8),
-	}
-}
-
-// cacheAdmitAfter is how many sightings of a fingerprint compile
-// directly before the text-keyed cache path takes over.
-const cacheAdmitAfter = 2
-
-// Get returns the compiled form of m over r, compiling on miss. A
-// module whose fingerprint has few sightings compiles directly — no
-// printed key, no cache insertion (campaign modules, run once per
-// build configuration, never earn either). From the third sighting on,
-// the module is printed (outside the lock) to form the exact key, and
-// Compile also runs outside the lock, so concurrent misses may compile
-// the same module twice; one result wins, both are valid.
+// Get compiles m over r and accounts the compile.
 func (c *ProgramCache) Get(r *Registry, m *ir.Module) *CompiledProgram {
-	sk := seenKey{registry: r, fp: ir.Fingerprint(m)}
-	c.mu.Lock()
-	if n := c.seen[sk]; n < cacheAdmitAfter {
-		// Bound the sighting set the blunt way: it is an admission
-		// heuristic, so forgetting everything just re-classifies a few
-		// repeats as first sightings.
-		if n == 0 && len(c.seen) >= c.max*8 {
-			clear(c.seen)
-		}
-		c.seen[sk] = n + 1
-		c.misses++
-		c.mu.Unlock()
-		return c.timedCompile(r, m)
-	}
-	c.mu.Unlock()
-
-	key := programKey{registry: r, text: ir.Print(m)}
-	c.mu.Lock()
-	if p, ok := c.entries[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return p
-	}
-	c.mu.Unlock()
-
-	p := c.timedCompile(r, m)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.entries[key]; ok {
-		c.hits++
-		return prev
-	}
-	c.misses++
-	if len(c.entries) >= c.max {
-		for k := range c.entries {
-			delete(c.entries, k)
-			c.evictions++
-			break
-		}
-	}
-	c.entries[key] = p
-	return p
-}
-
-// timedCompile is Compile with the cache's compile-time accounting.
-func (c *ProgramCache) timedCompile(r *Registry, m *ir.Module) *CompiledProgram {
 	start := time.Now()
 	p := Compile(r, m)
 	c.compileNanos.Add(int64(time.Since(start)))
+	c.misses.Add(1)
 	return p
 }
 
-// Stats reports cache hits, misses and current size.
-func (c *ProgramCache) Stats() (hits, misses uint64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.entries)
-}
-
-// CacheStats is the full accounting snapshot of a ProgramCache.
+// CacheStats is the accounting snapshot of a ProgramCache.
 type CacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Size      int
-	// CompileTime is the cumulative wall-clock spent inside Compile on
-	// the cache's miss paths (admission-gated direct compiles included).
+	// Hits is always 0: nothing is memoized.
+	Hits uint64
+	// Misses counts compiles.
+	Misses uint64
+	// CompileTime is the cumulative wall-clock spent inside Compile.
 	CompileTime time.Duration
 }
 
-// StatsDetail returns the cache's full counters — the accessor the
-// telemetry exporter and the admission-policy tests read. Safe for
-// concurrent use.
+// StatsDetail returns the accounting counters. Safe for concurrent use.
 func (c *ProgramCache) StatsDetail() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Evictions:   c.evictions,
-		Size:        len(c.entries),
+		Misses:      c.misses.Load(),
 		CompileTime: time.Duration(c.compileNanos.Load()),
 	}
 }

@@ -193,9 +193,8 @@ type Interpreter struct {
 	// byte-identical either way — the engines differ only in cost.
 	Compiled bool
 
-	// Cache, when non-nil with Compiled set, memoizes compiled
-	// programs across Run calls (the difftest harness runs the same
-	// module once per build configuration).
+	// Cache, when non-nil with Compiled set, accounts every compile
+	// Run makes (count and wall time). It memoizes nothing.
 	Cache *ProgramCache
 
 	// Ctx, when non-nil, is checked cooperatively during evaluation
@@ -282,7 +281,7 @@ func IsTrap(err error) bool {
 // All top-level functions are added to the function table first (the
 // paper's AddFunc effect); the entry function's region is then executed
 // in an isolated scope. With Compiled set, the module is compiled
-// (through Cache, if one is attached) and executed by the compiled
+// (and the compile accounted in Cache, if one is attached) and executed by the compiled
 // engine instead — same Result, either way. The engine tiers: a module
 // that cannot repay its compilation (straight-line code, where every op
 // executes at most once) is tree-walked even with Compiled set, because

@@ -58,23 +58,17 @@ func (m *Metrics) noteRun(steps, fusedSteps int, compiled bool) {
 	}
 }
 
-// RegisterProgramCacheMetrics exposes a program cache's counters as
-// callback gauges under the given cache label ("source", "executor").
-// Zero hot-path cost: the cache's own always-on counters are read at
-// export time. Nil registry or cache is a no-op.
+// RegisterProgramCacheMetrics exposes a program cache's compile
+// accounting as callback gauges under the given cache label
+// ("executor"). Zero hot-path cost: the counters are read at export
+// time. Nil registry or cache is a no-op.
 func RegisterProgramCacheMetrics(reg *telemetry.Registry, label string, c *ProgramCache) {
 	if reg == nil || c == nil {
 		return
 	}
 	l := `cache="` + label + `"`
-	reg.GaugeFuncWith("ratte_interp_program_cache_hits", l, "program cache hits",
-		func() int64 { return int64(c.StatsDetail().Hits) })
-	reg.GaugeFuncWith("ratte_interp_program_cache_misses", l, "program cache misses",
+	reg.GaugeFuncWith("ratte_interp_program_cache_misses", l, "compiled programs built",
 		func() int64 { return int64(c.StatsDetail().Misses) })
-	reg.GaugeFuncWith("ratte_interp_program_cache_evictions", l, "program cache evictions",
-		func() int64 { return int64(c.StatsDetail().Evictions) })
-	reg.GaugeFuncWith("ratte_interp_program_cache_size", l, "cached compiled programs",
-		func() int64 { return int64(c.StatsDetail().Size) })
-	reg.GaugeFuncWith("ratte_interp_program_cache_compile_ns", l, "nanoseconds spent compiling on cache misses",
+	reg.GaugeFuncWith("ratte_interp_program_cache_compile_ns", l, "nanoseconds spent compiling programs",
 		func() int64 { return c.StatsDetail().CompileTime.Nanoseconds() })
 }

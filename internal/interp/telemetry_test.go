@@ -8,60 +8,44 @@ import (
 	"ratte/internal/telemetry"
 )
 
-// TestProgramCacheStatsDetail pins the PR-3 admission policy as seen
-// through the full-stats accessor: the first two sightings of a module
-// compile directly (misses, no entry), the third misses and inserts,
-// and later sightings hit — with every compile accounted in
-// CompileTime and no evictions.
-func TestProgramCacheStatsDetail(t *testing.T) {
-	m := mustParse(t, straightLineSrc(8))
-	reg := dialects.ExecutorRegistry()
-	c := interp.NewProgramCache(0)
-	for i := 0; i < 5; i++ {
-		if c.Get(reg, m) == nil {
-			t.Fatal("cache returned nil program")
+// TestExecutorCompileAccounting pins the data behind the benchmark's
+// interp.compile.share: every executor run of a loop module compiles
+// afresh and is accounted in ExecutorProgramCache as one miss with its
+// compile time, never a hit; a straight-line module is tree-walked and
+// accounts nothing.
+func TestExecutorCompileAccounting(t *testing.T) {
+	loop := mustParse(t, scfLoopSrc(10))
+	straight := mustParse(t, straightLineSrc(8))
+	cache := dialects.ExecutorProgramCache()
+
+	before := cache.StatsDetail()
+	for i := 0; i < 3; i++ {
+		if _, err := dialects.NewExecutor().Run(loop, "main"); err != nil {
+			t.Fatal(err)
 		}
 	}
-	st := c.StatsDetail()
-	if st.Hits != 2 || st.Misses != 3 || st.Size != 1 || st.Evictions != 0 {
-		t.Errorf("stats = %+v, want hits=2 misses=3 size=1 evictions=0", st)
+	after := cache.StatsDetail()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 0 || misses != 3 {
+		t.Errorf("loop runs added %d hits, %d misses; want 0, 3", hits, misses)
 	}
-	// Three compiles happened (sightings 1-3); their time is accounted.
-	if st.CompileTime <= 0 {
-		t.Errorf("compile time = %v, want > 0", st.CompileTime)
+	if after.CompileTime <= before.CompileTime {
+		t.Errorf("compile time %v -> %v, want it to grow", before.CompileTime, after.CompileTime)
 	}
-	// StatsDetail and the legacy Stats agree.
-	h, mi, sz := c.Stats()
-	if h != st.Hits || mi != st.Misses || sz != st.Size {
-		t.Errorf("Stats() = %d/%d/%d disagrees with StatsDetail %+v", h, mi, sz, st)
+
+	if _, err := dialects.NewExecutor().Run(straight, "main"); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.StatsDetail(); st != after {
+		t.Errorf("straight-line run changed the accounting: %+v -> %+v", after, st)
 	}
 }
 
-// TestProgramCacheEvictionsCounted fills a 1-entry cache with two
-// admitted modules and checks the eviction shows up in the stats.
-func TestProgramCacheEvictionsCounted(t *testing.T) {
-	m1 := mustParse(t, straightLineSrc(8))
-	m2 := mustParse(t, straightLineSrc(9))
-	reg := dialects.ExecutorRegistry()
-	c := interp.NewProgramCache(1)
-	for i := 0; i < 3; i++ { // admit and insert m1
-		c.Get(reg, m1)
-	}
-	for i := 0; i < 3; i++ { // admit m2; its insertion evicts m1
-		c.Get(reg, m2)
-	}
-	st := c.StatsDetail()
-	if st.Evictions != 1 || st.Size != 1 {
-		t.Errorf("stats = %+v, want evictions=1 size=1", st)
-	}
-}
-
-// TestRegisterProgramCacheMetrics checks the cache counters surface as
-// labelled gauges whose exported values match StatsDetail.
+// TestRegisterProgramCacheMetrics checks the compile accounting
+// surfaces as labelled gauges whose exported values match StatsDetail.
 func TestRegisterProgramCacheMetrics(t *testing.T) {
 	m := mustParse(t, straightLineSrc(8))
 	dreg := dialects.ExecutorRegistry()
-	c := interp.NewProgramCache(0)
+	c := new(interp.ProgramCache)
 	for i := 0; i < 4; i++ {
 		c.Get(dreg, m)
 	}
@@ -69,30 +53,19 @@ func TestRegisterProgramCacheMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	interp.RegisterProgramCacheMetrics(reg, "test", c)
 	snap := reg.Snapshot()
-	st := c.StatsDetail()
-	want := map[string]int64{
-		`ratte_interp_program_cache_hits{cache="test"}`:      int64(st.Hits),
-		`ratte_interp_program_cache_misses{cache="test"}`:    int64(st.Misses),
-		`ratte_interp_program_cache_evictions{cache="test"}`: int64(st.Evictions),
-		`ratte_interp_program_cache_size{cache="test"}`:      int64(st.Size),
+	if got := snap[`ratte_interp_program_cache_misses{cache="test"}`]; got != int64(4) {
+		t.Errorf("misses = %v, want 4", got)
 	}
-	for series, v := range want {
-		got, ok := snap[series]
-		if !ok {
-			t.Errorf("series %s missing from snapshot", series)
-			continue
-		}
-		if got.(int64) != v {
-			t.Errorf("%s = %v, want %d", series, got, v)
-		}
+	if ct := snap[`ratte_interp_program_cache_compile_ns{cache="test"}`]; ct != c.StatsDetail().CompileTime.Nanoseconds() || ct.(int64) <= 0 {
+		t.Errorf("compile_ns = %v, want StatsDetail's positive CompileTime", ct)
 	}
-	if ct := snap[`ratte_interp_program_cache_compile_ns{cache="test"}`]; ct.(int64) <= 0 {
-		t.Errorf("compile_ns = %v, want > 0", ct)
+	if len(snap) != 2 {
+		t.Errorf("registered %d series, want misses and compile_ns only: %v", len(snap), snap)
 	}
 	// Nil registry and nil cache registrations are no-ops.
 	interp.RegisterProgramCacheMetrics(nil, "x", c)
 	interp.RegisterProgramCacheMetrics(reg, "y", nil)
-	if _, ok := reg.Snapshot()[`ratte_interp_program_cache_hits{cache="y"}`]; ok {
+	if _, ok := reg.Snapshot()[`ratte_interp_program_cache_misses{cache="y"}`]; ok {
 		t.Error("nil cache registered gauges")
 	}
 }

@@ -4,9 +4,9 @@
 // the walk allocates nothing for the in-tree type and attribute
 // inventory. Two modules with equal printed forms always have equal
 // fingerprints; the converse holds only up to hash collision, so the
-// fingerprint is an identity *filter*, not an identity — callers that
-// need exactness (the interpreter's program cache) use it to decide
-// whether paying for the printed form can possibly be worth it.
+// fingerprint is an identity *filter*, not an identity: the campaign
+// uses it to name a detecting program in a plan-mode verdict, and a
+// caller that needs exactness must compare printed forms.
 package ir
 
 // Fingerprint returns a 64-bit structural hash of the module.

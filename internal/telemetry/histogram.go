@@ -3,7 +3,7 @@
 // Durations are observed in nanoseconds; the bucket layout spans 1µs
 // (everything faster lands in the first bucket) to ~18 minutes
 // (everything slower lands in the overflow bucket), which covers every
-// latency the pipeline produces — a cache-hit interpretation to a
+// latency the pipeline produces — a microsecond tree-walked run to a
 // watchdog-expired multi-second program.
 package telemetry
 
