@@ -4,9 +4,8 @@
 // same returned values, and on failure the same error text and the
 // same UB/trap classification. This oracle enforces the contract
 // end-to-end: a generated module and every build configuration's
-// lowered form of it run under both engines, forced (the engine's own
-// payoff tiering is bypassed, because agreement must hold even for the
-// modules tiering would walk).
+// lowered form of it run under both engines: Run tree-walks, and the
+// compiled side goes through an explicit Compile and RunProgram.
 package conformance
 
 import (
@@ -101,16 +100,16 @@ const engineMaxSteps = 2_000_000
 // classification. Exported for the regression-corpus replayer, which
 // re-checks the agreement over every persisted counterexample.
 func CheckEngineAgreement(m *ir.Module, stage string) *Failure {
-	tree := dialects.NewTreeWalkingExecutor()
+	tree := dialects.NewExecutor()
 	tree.MaxSteps = engineMaxSteps
 	treeOut := outcomeOf(tree.Run(m, "main"))
 
-	unfused := dialects.NewTreeWalkingExecutor()
+	unfused := dialects.NewExecutor()
 	unfused.MaxSteps = engineMaxSteps
 	uprog := interp.CompileWith(dialects.ExecutorRegistry(), m, interp.CompileOptions{DisableFusion: true})
 	unfusedOut := outcomeOf(unfused.RunProgram(uprog, "main"))
 
-	fused := dialects.NewTreeWalkingExecutor()
+	fused := dialects.NewExecutor()
 	fused.MaxSteps = engineMaxSteps
 	fprog := interp.Compile(dialects.ExecutorRegistry(), m)
 	fusedOut := outcomeOf(fused.RunProgram(fprog, "main"))

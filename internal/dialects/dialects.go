@@ -121,45 +121,30 @@ func NewReferenceInterpreter() *interp.Interpreter {
 	return sourceRegistry().NewInterpreter()
 }
 
-// NewCompiledReferenceInterpreter builds the reference interpreter with
-// the compiled execution engine — for callers that run whole modules
-// (UB-free classification, corpus replay) rather than evaluating
-// incrementally. Each Run compiles afresh; nothing is memoized.
+// NewCompiledReferenceInterpreter is NewReferenceInterpreter under its
+// old name, which the benchmark's replay still calls; it compiles
+// nothing.
 func NewCompiledReferenceInterpreter() *interp.Interpreter {
-	in := sourceRegistry().NewInterpreter()
-	in.Compiled = true
-	return in
+	return NewReferenceInterpreter()
 }
 
 // NewExecutor builds the executor for fully- or partially-lowered
 // modules: every dialect is available, so pipelines may stop at any
 // level (this mirrors mlir-cpu-runner accepting mixed modules as long
 // as each op has a registered lowering or runtime implementation). The
-// underlying kernel registry is memoized and the compiled execution
-// engine is on by default: the difftest hot loop runs each lowered
-// module through a compiled artifact instead of tree-walking it. Every
-// executor accounts its compiles in ExecutorProgramCache.
+// underlying kernel registry is memoized. Its Run tree-walks; a caller
+// that runs one module many times compiles it once through
+// ExecutorProgramCache().Get and runs it with RunProgramArgs.
 func NewExecutor() *interp.Interpreter {
-	in := executorRegistry().NewInterpreter()
-	in.Compiled = true
-	in.Cache = &executorProgramCache
-	return in
+	return executorRegistry().NewInterpreter()
 }
 
-// executorProgramCache accounts the compiles of every executor.
+// executorProgramCache accounts the executor compiles a campaign makes.
 var executorProgramCache interp.ProgramCache
 
 // ExecutorProgramCache returns the compile accounting shared by every
-// executor (the campaign hot loop's); it memoizes nothing.
+// executor compile a campaign makes; it memoizes nothing.
 func ExecutorProgramCache() *interp.ProgramCache { return &executorProgramCache }
-
-// NewTreeWalkingExecutor builds the executor without the compiled
-// engine. The conformance harness uses it as the independent side of
-// the interp-engine-agreement oracle; it is also the escape hatch if a
-// compiled-engine defect ever needs to be ruled out in the field.
-func NewTreeWalkingExecutor() *interp.Interpreter {
-	return executorRegistry().NewInterpreter()
-}
 
 // SourceSpecs returns the static verification rules of the source
 // dialects — the frontend verifier. The registry is memoized and

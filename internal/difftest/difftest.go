@@ -405,10 +405,8 @@ func Classify(m *ir.Module, preset string) Classification {
 	if !cl.Compiled {
 		return cl
 	}
-	// The compiled reference interpreter: Classify is called in bulk
-	// (the §4.2 measurement classifies thousands of modules) and the
-	// UB-free run is its hot half.
-	in := dialects.NewCompiledReferenceInterpreter()
+	// The UB-free run: one tree walk, so nothing is compiled.
+	in := dialects.NewReferenceInterpreter()
 	in.MaxSteps = 2_000_000
 	if _, err := in.Run(m, "main"); err == nil {
 		cl.UBFree = true

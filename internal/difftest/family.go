@@ -182,7 +182,7 @@ func runFamily(ctx context.Context, cfg *CampaignConfig, baseSeed int64, count i
 		var refErr error
 		t0 := cfg.Telemetry.stageStart()
 		sf := guard(StageReference, mem.seed, pm, func() {
-			in := dialects.NewCompiledReferenceInterpreter()
+			in := dialects.NewReferenceInterpreter()
 			in.MaxSteps = familyMaxSteps
 			res, err := in.RunArgs(pm, "main", mem.args)
 			if err != nil {
@@ -257,10 +257,10 @@ func testMembers(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, member
 					return ex.RunArgs(m, "main", mem.args)
 				}
 				// Compiled lazily inside the member's guard, so a
-				// deterministic compile panic lands on each member
-				// exactly as it would unbatched.
+				// compile panic fails that member's stage, not the
+				// whole family. Unbatched runs never compile.
 				if progs[i] == nil {
-					progs[i] = interp.Compile(dialects.ExecutorRegistry(), m)
+					progs[i] = dialects.ExecutorProgramCache().Get(dialects.ExecutorRegistry(), m)
 				}
 				return ex.RunProgramArgs(progs[i], "main", mem.args)
 			})

@@ -32,7 +32,7 @@ func TestParameterizedMainIsValidAndFaithful(t *testing.T) {
 				t.Fatalf("%s/%d: parameterized module fails verify: %v", preset, seed, err)
 			}
 			args := familyArgs(params, seed, 0)
-			in := dialects.NewCompiledReferenceInterpreter()
+			in := dialects.NewReferenceInterpreter()
 			in.MaxSteps = familyMaxSteps
 			res, err := in.RunArgs(pm, "main", args)
 			if err != nil {

@@ -159,6 +159,25 @@ func TestCampaignTelemetryCounters(t *testing.T) {
 	if !strings.Contains(line, "progress: 24/24") || strings.Contains(line, "cache") {
 		t.Errorf("progress line = %q", line)
 	}
+
+	// A batched family compiles each lowered module once, for its
+	// members to share; the compile series account those compiles.
+	fam := difftest.CampaignConfig{Preset: "ariths", Programs: 8, Size: 14, Seed: 300, FamilySize: 4, Batched: true,
+		Telemetry: difftest.NewCampaignTelemetry(nil)}
+	gauge := func(series string) int64 {
+		t.Helper()
+		return fam.Telemetry.Registry.Snapshot()[series+`{cache="executor"}`].(int64)
+	}
+	misses, compileNs := gauge("ratte_interp_program_cache_misses"), gauge("ratte_interp_program_cache_compile_ns")
+	if _, err := difftest.RunCampaign(fam); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge("ratte_interp_program_cache_misses"); got <= misses {
+		t.Errorf("batched family campaign: compiles %d -> %d, want them accounted", misses, got)
+	}
+	if got := gauge("ratte_interp_program_cache_compile_ns"); got <= compileNs {
+		t.Errorf("batched family campaign: compile_ns %d -> %d, want it to grow", compileNs, got)
+	}
 }
 
 // TestTelemetryJournalGauges checks journal I/O accounting: the line

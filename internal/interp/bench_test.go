@@ -11,7 +11,7 @@ import (
 )
 
 // straightLineSrc builds a main of n chained arith ops and one print —
-// the module shape the payoff tiering leaves to the tree walker.
+// the shape of the campaign's classic arith programs.
 func straightLineSrc(n int) string {
 	var b strings.Builder
 	b.WriteString(`"builtin.module"() ({
@@ -91,7 +91,7 @@ func mustParseB(b *testing.B, src string) *ir.Module {
 }
 
 func benchTree(b *testing.B, m *ir.Module) {
-	in := dialects.NewTreeWalkingExecutor()
+	in := dialects.NewExecutor()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,7 +102,7 @@ func benchTree(b *testing.B, m *ir.Module) {
 }
 
 func benchCompiled(b *testing.B, m *ir.Module) {
-	in := dialects.NewTreeWalkingExecutor()
+	in := dialects.NewExecutor()
 	prog := interp.Compile(dialects.ExecutorRegistry(), m)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -114,9 +114,8 @@ func benchCompiled(b *testing.B, m *ir.Module) {
 }
 
 // BenchmarkInterpStraightLine: per-run cost on a 60-op straight line.
-// The compiled numbers here exclude Compile itself; the tiering runs
-// these modules on the tree walker precisely because one compile costs
-// more than one walk.
+// The compiled numbers here exclude Compile itself, which costs more
+// than one walk.
 func BenchmarkInterpStraightLine(b *testing.B) {
 	m := mustParseB(b, straightLineSrc(60))
 	b.Run("tree", func(b *testing.B) { benchTree(b, m) })

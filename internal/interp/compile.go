@@ -9,8 +9,12 @@
 // combination when the Registry is composed (the paper's handler
 // composition), and a module's SSA structure is fixed at parse time —
 // so all three costs can be paid once, in Compile, and amortised over
-// every subsequent execution (the difftest oracle runs each program
-// once per build configuration, plus the UB-free reference run).
+// the runs of that one program. On generated modules a compile plus
+// one run costs three to four tree walks, and a compile plus four runs
+// still costs more than four walks, so compiling pays only for a
+// caller that runs one module many times. A campaign's single run per
+// build configuration goes through Interpreter.Run, which tree-walks;
+// a batched family compiles each lowered module once for its members.
 //
 // Compile walks each function once and emits a CompiledProgram:
 //
@@ -170,57 +174,6 @@ type compiledOp struct {
 	fused    *fusedRun
 	fuseSkip int
 	ffor     *fusedFor
-}
-
-// compilationPays reports whether compiling the module can recoup its
-// cost: compilation is profitable exactly when some op executes more
-// than once, so the per-step savings multiply. That happens with a
-// region-looping construct (scf loops; linalg.generic and
-// tensor.generate run their region once per element) or a CFG
-// back-edge (a successor targeting its own or an earlier block — how
-// lowered loops look). A module without either executes each op at
-// most once — calls included, since each call site runs its callee's
-// straight-line body once — and walking an op costs strictly less than
-// compiling it. So the fuzzing campaign's arith-heavy programs stay on
-// the walker while loop-carrying ones take the engine. The scan
-// allocates nothing and visits each op once.
-func compilationPays(m *ir.Module) bool {
-	for _, f := range m.Body().Ops {
-		for _, r := range f.Regions {
-			if regionPays(r) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func regionPays(r *ir.Region) bool {
-	for bi, b := range r.Blocks {
-		for _, op := range b.Ops {
-			switch op.Name {
-			case "scf.for", "scf.while", "linalg.generic", "tensor.generate":
-				return true
-			}
-			for si := range op.Successors {
-				// Back-edge test under first-label-wins resolution: if the
-				// label's first match is this block or an earlier one, the
-				// branch can re-execute ops.
-				label := op.Successors[si].Block
-				for ti := 0; ti <= bi && ti < len(r.Blocks); ti++ {
-					if r.Blocks[ti].Label == label {
-						return true
-					}
-				}
-			}
-			for _, sub := range op.Regions {
-				if regionPays(sub) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // CompileOptions tunes compilation. The zero value is the default

@@ -9,19 +9,19 @@ import (
 	"ratte/internal/ir"
 )
 
-// runBoth executes one module under the tree walker and under the
-// compiled engine (forced — interp.Compile + RunProgram bypasses the
-// payoff tiering) with identical limits, returning both outcomes.
+// runBoth executes one module under the tree walker (Run) and under
+// the compiled engine (interp.Compile + RunProgram) with identical
+// limits, returning both outcomes.
 func runBoth(t *testing.T, src string, maxSteps, maxDepth int) (tree, compiled *interp.Result, treeErr, compErr error) {
 	t.Helper()
 	m := mustParse(t, src)
 
-	tw := dialects.NewTreeWalkingExecutor()
+	tw := dialects.NewExecutor()
 	tw.MaxSteps = maxSteps
 	tw.MaxCallDepth = maxDepth
 	tree, treeErr = tw.Run(m, "main")
 
-	ce := dialects.NewTreeWalkingExecutor()
+	ce := dialects.NewExecutor()
 	ce.MaxSteps = maxSteps
 	ce.MaxCallDepth = maxDepth
 	prog := interp.Compile(dialects.ExecutorRegistry(), m)

@@ -15,18 +15,19 @@ import (
 func runWithCoverage(t *testing.T, src string, compiled, withCov bool) (string, map[string]uint64) {
 	t.Helper()
 	m := mustParse(t, src)
-	var ex *interp.Interpreter
-	if compiled {
-		ex = dialects.NewExecutor()
-	} else {
-		ex = dialects.NewTreeWalkingExecutor()
-	}
+	ex := dialects.NewExecutor()
 	var cov *coverage.Map
 	if withCov {
 		cov = coverage.NewMap()
 		ex.Coverage = cov
 	}
-	res, err := ex.Run(m, "main")
+	var res *interp.Result
+	var err error
+	if compiled {
+		res, err = ex.RunProgram(interp.Compile(dialects.ExecutorRegistry(), m), "main")
+	} else {
+		res, err = ex.Run(m, "main")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,12 +89,12 @@ func releaseContext(ctx *Context) {
 	ctxPool.Put(ctx)
 }
 
-// ProgramCache accounts the compiles of the interpreters it is
-// attached to: each Get compiles the module afresh, counting one miss
-// and the compile's wall time. It memoizes nothing. A campaign runs
-// every freshly generated module once per build configuration, so a
-// cross-program memo measured 0 hits on every benchmark workload while
-// holding most of linalg's resident memory. The type keeps its cache
+// ProgramCache accounts the compiles made through it: each Get
+// compiles the module afresh, counting one miss and the compile's wall
+// time. It memoizes nothing. A campaign runs every freshly generated
+// module once per build configuration, so a cross-program memo measured
+// 0 hits on every benchmark workload while holding most of linalg's
+// resident memory. The type keeps its cache
 // name, and CacheStats its always-zero Hits, only because the benchmark
 // reads dialects.ExecutorProgramCache().StatsDetail(); the rename waits
 // for the next change to the benchmark. The zero value is ready to use

@@ -23,7 +23,7 @@ func TestFusedLoopBodiesDoNotAllocate(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			m := mustParse(t, w.src)
 			prog := interp.Compile(dialects.ExecutorRegistry(), m)
-			in := dialects.NewTreeWalkingExecutor()
+			in := dialects.NewExecutor()
 			allocs := testing.AllocsPerRun(10, func() {
 				if _, err := in.RunProgram(prog, "main"); err != nil {
 					t.Fatal(err)
@@ -74,7 +74,7 @@ func TestFusedStepsMetric(t *testing.T) {
 	m := mustParse(t, scfLoopSrc(2000))
 
 	fusedMet := interp.NewMetrics(telemetry.NewRegistry())
-	in := dialects.NewTreeWalkingExecutor()
+	in := dialects.NewExecutor()
 	in.Metrics = fusedMet
 	if _, err := in.RunProgram(interp.Compile(dialects.ExecutorRegistry(), m), "main"); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestFusedStepsMetric(t *testing.T) {
 	}
 
 	plainMet := interp.NewMetrics(telemetry.NewRegistry())
-	pin := dialects.NewTreeWalkingExecutor()
+	pin := dialects.NewExecutor()
 	pin.Metrics = plainMet
 	prog := interp.CompileWith(dialects.ExecutorRegistry(), m, interp.CompileOptions{DisableFusion: true})
 	if _, err := pin.RunProgram(prog, "main"); err != nil {

@@ -187,16 +187,6 @@ type Interpreter struct {
 	// default (256).
 	MaxCallDepth int
 
-	// Compiled selects the compiled execution engine for Run: the
-	// module is compiled (per-op closures, slot-indexed frames; see
-	// compile.go) and executed, instead of tree-walked. Results are
-	// byte-identical either way — the engines differ only in cost.
-	Compiled bool
-
-	// Cache, when non-nil with Compiled set, accounts every compile
-	// Run makes (count and wall time). It memoizes nothing.
-	Cache *ProgramCache
-
 	// Ctx, when non-nil, is checked cooperatively during evaluation
 	// (every cancelCheckInterval steps and at every function call);
 	// when it is cancelled or its deadline passes, the run stops with
@@ -280,31 +270,18 @@ func IsTrap(err error) bool {
 // Run interprets the module, calling the entry function (no arguments).
 // All top-level functions are added to the function table first (the
 // paper's AddFunc effect); the entry function's region is then executed
-// in an isolated scope. With Compiled set, the module is compiled
-// (and the compile accounted in Cache, if one is attached) and executed by the compiled
-// engine instead — same Result, either way. The engine tiers: a module
-// that cannot repay its compilation (straight-line code, where every op
-// executes at most once) is tree-walked even with Compiled set, because
-// walking an op costs less than compiling it. Callers that want
-// unconditional compilation (benchmarks, the engine-agreement oracle)
-// use Compile and RunProgram directly.
+// in an isolated scope. Run always tree-walks: a campaign runs each
+// lowered module once per build configuration, and on every preset's
+// lowered modules a walk costs a quarter to a third of a compile plus
+// one run. Callers that run one module many
+// times (batched families, benchmarks, the engine-agreement oracle) use
+// Compile and RunProgram — same Result, either way.
 func (in *Interpreter) Run(m *ir.Module, entry string) (*Result, error) {
 	return in.RunArgs(m, entry, nil)
 }
 
-// RunArgs is Run with entry-function arguments — the batched-campaign
-// entry point, where one module runs many times under different inputs.
-// Tiering is identical to Run.
+// RunArgs is Run with entry-function arguments.
 func (in *Interpreter) RunArgs(m *ir.Module, entry string, args []rtval.Value) (*Result, error) {
-	if in.Compiled && compilationPays(m) {
-		var p *CompiledProgram
-		if in.Cache != nil {
-			p = in.Cache.Get(in.registry, m)
-		} else {
-			p = Compile(in.registry, m)
-		}
-		return in.RunProgramArgs(p, entry, args)
-	}
 	ctx := NewContext(in)
 	for _, op := range m.Body().Ops {
 		switch op.Name {

@@ -14,13 +14,15 @@
 // inner scope executes. Under that discipline, "which binding does this
 // use see" is a purely lexical question, answerable at compile time.
 //
-// Scopes are backed by small slices, not maps: a scope holds the
-// bindings of one region (a few dozen at most), where a linear scan
-// beats a map both on lookup and — decisively — on construction.
-// Popped scopes keep their backing arrays for the next Push, so a whole
-// compilation allocates a handful of arrays however many regions it
-// walks. One SlotTable serves one compilation; it is not safe for
-// concurrent use.
+// Scopes are backed by slices, not maps, and Alloc and Resolve scan
+// them linearly. That suits a structured region's few dozen bindings,
+// but not a function lowered by convert-scf-to-cf: its body is one
+// region holding a hundred or more bindings in one scope, and on
+// lowered linalggeneric modules the scans are over 40% of Compile's
+// CPU profile. Popped scopes keep their backing arrays for the next
+// Push, so a whole compilation allocates a handful of arrays however
+// many regions it walks. One SlotTable serves one compilation; it is
+// not safe for concurrent use.
 package scoped
 
 // SlotRef is a resolved binding: the frame slot it lives in and the
