@@ -75,7 +75,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.IntVar(&o.family, "family", 0, "mutation-family size: test each generated program plus N-1 constant-mutated variants (ad-hoc campaigns)")
 	fs.IntVar(&o.fuzzPipelines, "fuzz-pipelines", 0, "phase-ordering mode: test each program under N sampled legal pass plans instead of the fixed build configurations (ad-hoc campaigns)")
 	fs.Int64Var(&o.planSeed, "plan-seed", 1, "seed of the sampled plan set (with -fuzz-pipelines)")
-	fs.BoolVar(&o.batched, "batched", false, "share verification, compilation and interpreter compilation across each mutation family")
+	fs.BoolVar(&o.batched, "batched", false, "share verification and compilation across each mutation family")
 	fs.DurationVar(&o.timeout, "timeout-per-program", 0, "wall-clock budget per program (0 = unbounded)")
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "deterministic fault-injection rate in [0,1] (robustness testing)")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed of the injected-fault schedule (with -fault-rate)")

@@ -11,8 +11,8 @@
 //     (spec, seed, site, occurrence), never by wall clock or goroutine;
 //   - leave unaffected seeds (zero fault hits) byte-identical to the
 //     fault-free run — injection has no blast radius beyond the seeds
-//     it touches, in particular nothing shared across seeds (such as
-//     a compiled-program memo) may carry a fault to another seed;
+//     it touches, in particular nothing shared across seeds may carry
+//     a fault to another seed;
 //   - leak no goroutines once the run completes.
 //
 // Module-free, like campaign-agreement: the campaign seed schedule is

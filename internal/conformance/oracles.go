@@ -25,7 +25,6 @@ const (
 	FamilyMutationEquiv = "mutation-equivalence"
 	FamilyCampaignAgree = "campaign-agreement"
 	FamilyDifftest      = "difftest"
-	// FamilyEngineAgree is declared in engine.go.
 )
 
 // BugCarrier is implemented by oracles that check against a deliberately
@@ -364,7 +363,6 @@ func StandardOracles() []Oracle {
 		os = append(os,
 			NewMutationEquivalence(preset),
 			NewCoverageInert(preset),
-			NewEngineAgreement(preset),
 			NewDifftest(preset, bugs.None()),
 			NewCampaignAgreement(preset),
 			NewFaultTolerance(preset),
@@ -413,8 +411,6 @@ func Lookup(name string) (Oracle, error) {
 		return NewFaultTolerance(preset), nil
 	case FamilyFleetChaos:
 		return NewFleetChaos(preset), nil
-	case FamilyEngineAgree:
-		return NewEngineAgreement(preset), nil
 	case FamilyDifftest:
 		return NewDifftest(preset, bugs.None()), nil
 	case FamilyPlanLegality:

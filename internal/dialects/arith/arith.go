@@ -36,10 +36,6 @@ func Semantics() *interp.Dialect {
 
 	d.Register("arith.constant", constantKernel)
 
-	// Each binary op registers its kernel and, under the same semantic
-	// function, a fuse spec: the compiled engine's superinstruction pass
-	// may then evaluate the op without the kernel, with identical
-	// results and errors (fuse.go's FuseSpec contract).
 	binPure := func(name string, f func(a, b rtval.Int) rtval.Int) {
 		d.Register(name, func(ctx *interp.Context, op *ir.Operation) error {
 			a, b, err := binaryOperands(ctx, op)
@@ -48,7 +44,6 @@ func Semantics() *interp.Dialect {
 			}
 			return ctx.Define(op.Results[0], rtval.Box(f(a, b)))
 		})
-		d.RegisterFusable(name, interp.FuseSpec{Kind: interp.FuseBinPure, Pure: f})
 	}
 	binErr := func(name string, f func(a, b rtval.Int) (rtval.Int, error)) {
 		d.Register(name, func(ctx *interp.Context, op *ir.Operation) error {
@@ -62,7 +57,6 @@ func Semantics() *interp.Dialect {
 			}
 			return ctx.Define(op.Results[0], rtval.Box(r))
 		})
-		d.RegisterFusable(name, interp.FuseSpec{Kind: interp.FuseBinErr, Err: f})
 	}
 
 	binPure("arith.addi", rtval.Int.Add)
@@ -88,24 +82,14 @@ func Semantics() *interp.Dialect {
 	binErr("arith.shrui", rtval.Int.ShRU)
 
 	d.Register("arith.cmpi", cmpiKernel)
-	d.RegisterFusable("arith.cmpi", interp.FuseSpec{Kind: interp.FuseCmp, Cmp: bindCmpi})
-
 	d.Register("arith.select", selectKernel)
-	d.RegisterFusable("arith.select", interp.FuseSpec{Kind: interp.FuseSelect, Sel: fusedSelect})
 
-	ext := func(name string, f func(a, b rtval.Int) (rtval.Int, rtval.Int)) {
-		d.Register(name, extendedKernel(f))
-		d.RegisterFusable(name, interp.FuseSpec{Kind: interp.FuseExtended, Ext: f})
-	}
-	ext("arith.addui_extended", func(a, b rtval.Int) (rtval.Int, rtval.Int) {
-		return a.AddUIExtended(b)
-	})
-	ext("arith.mulsi_extended", rtval.Int.MulSIExtended)
-	ext("arith.mului_extended", rtval.Int.MulUIExtended)
+	d.Register("arith.addui_extended", extendedKernel(rtval.Int.AddUIExtended))
+	d.Register("arith.mulsi_extended", extendedKernel(rtval.Int.MulSIExtended))
+	d.Register("arith.mului_extended", extendedKernel(rtval.Int.MulUIExtended))
 
 	cast := func(name string, f func(a rtval.Int, to ir.Type) rtval.Int) {
 		d.Register(name, castKernel(f))
-		d.RegisterFusable(name, interp.FuseSpec{Kind: interp.FuseCast, Cast: f})
 	}
 	cast("arith.extsi", func(a rtval.Int, to ir.Type) rtval.Int {
 		w, _ := ir.BitWidth(to)
@@ -122,49 +106,7 @@ func Semantics() *interp.Dialect {
 	cast("arith.index_cast", rtval.Int.IndexCast)
 	cast("arith.index_castui", rtval.Int.IndexCastU)
 
-	d.RegisterFusable("arith.constant", interp.FuseSpec{Kind: interp.FuseConst, Const: constValue})
-
 	return d
-}
-
-// constValue extracts a scalar constant's value at compile time; dense
-// or malformed constants decline, keeping constantKernel's diagnostics.
-func constValue(op *ir.Operation) (rtval.Int, bool) {
-	v, ok := op.Attrs.Get("value").(ir.IntegerAttr)
-	if !ok {
-		return rtval.Int{}, false
-	}
-	switch t := op.Results[0].Type.(type) {
-	case ir.IntegerType:
-		return rtval.NewInt(t.Width, v.Value), true
-	case ir.IndexType:
-		return rtval.NewIndex(v.Value), true
-	}
-	return rtval.Int{}, false
-}
-
-// bindCmpi binds cmpi's predicate attribute at compile time; a missing
-// predicate declines so cmpiKernel raises its exact error.
-func bindCmpi(op *ir.Operation) (func(a, b rtval.Int) (rtval.Int, error), bool) {
-	p, ok := op.Attrs.IntValueOf("predicate")
-	if !ok {
-		return nil, false
-	}
-	pred := rtval.CmpPredicate(p)
-	return func(a, b rtval.Int) (rtval.Int, error) { return a.Cmp(pred, b) }, true
-}
-
-// fusedSelect is selectKernel over already-read scalar operands: the
-// definedness check fires after all three reads, exactly like the
-// kernel's order.
-func fusedSelect(cond, t, f rtval.Int) (rtval.Int, error) {
-	if !cond.Defined() {
-		return rtval.Int{}, &rtval.UBError{Op: "arith.select", Reason: "branching on a value that is not well-defined"}
-	}
-	if cond.IsTrue() {
-		return t, nil
-	}
-	return f, nil
 }
 
 func binaryOperands(ctx *interp.Context, op *ir.Operation) (a, b rtval.Int, err error) {

@@ -46,22 +46,6 @@ func Semantics() *interp.Dialect {
 		return interp.TermResult{Branch: &op.Successors[1]}, nil
 	})
 
-	// Fused-terminator shapes for whole-block fusion: cf.br is pure
-	// control, cf.cond_br's closure replicates the kernel's poison trap
-	// and successor choice. Ops with other successor/operand counts are
-	// left on the kernels above (fuse.go's shape gating), preserving
-	// their diagnostics.
-	d.RegisterFusable("cf.br", interp.FuseSpec{Kind: interp.FuseBr})
-	d.RegisterFusable("cf.cond_br", interp.FuseSpec{Kind: interp.FuseCondBr, CondBr: func(cond rtval.Int) (int, error) {
-		if !cond.Defined() {
-			return 0, &rtval.TrapError{Op: "cf.cond_br", Reason: "branch on a poison value"}
-		}
-		if cond.IsTrue() {
-			return 0, nil
-		}
-		return 1, nil
-	}})
-
 	return d
 }
 

@@ -113,17 +113,15 @@ func ExecutorRegistry() *interp.Registry { return executorRegistry() }
 // NewReferenceInterpreter builds the reference interpreter over the
 // source dialects — the validated semantics the paper ships as an
 // independent artifact. The underlying kernel registry is memoized, so
-// this is cheap to call per program or per worker. It tree-walks: this
-// is the interpreter whose Context also serves as the generator's
-// incremental-semantics engine, where modules are evaluated exactly
-// once and compilation would be wasted work.
+// this is cheap to call per program or per worker. Its Context also
+// serves as the generator's incremental-semantics engine.
 func NewReferenceInterpreter() *interp.Interpreter {
 	return sourceRegistry().NewInterpreter()
 }
 
 // NewCompiledReferenceInterpreter is NewReferenceInterpreter under its
-// old name, which the benchmark's replay still calls; it compiles
-// nothing.
+// old name; it compiles nothing. Only bench/ calls it; ROADMAP item 1
+// deletes it.
 func NewCompiledReferenceInterpreter() *interp.Interpreter {
 	return NewReferenceInterpreter()
 }
@@ -132,19 +130,15 @@ func NewCompiledReferenceInterpreter() *interp.Interpreter {
 // modules: every dialect is available, so pipelines may stop at any
 // level (this mirrors mlir-cpu-runner accepting mixed modules as long
 // as each op has a registered lowering or runtime implementation). The
-// underlying kernel registry is memoized. Its Run tree-walks; a caller
-// that runs one module many times compiles it once through
-// ExecutorProgramCache().Get and runs it with RunProgramArgs.
+// underlying kernel registry is memoized.
 func NewExecutor() *interp.Interpreter {
 	return executorRegistry().NewInterpreter()
 }
 
-// executorProgramCache accounts the executor compiles a campaign makes.
-var executorProgramCache interp.ProgramCache
-
-// ExecutorProgramCache returns the compile accounting shared by every
-// executor compile a campaign makes; it memoizes nothing.
-func ExecutorProgramCache() *interp.ProgramCache { return &executorProgramCache }
+// ExecutorProgramCache returns an accounting that reports zero
+// compiles, as nothing compiles. Only bench/ calls it; ROADMAP item 1
+// deletes it.
+func ExecutorProgramCache() *interp.ProgramCache { return new(interp.ProgramCache) }
 
 // SourceSpecs returns the static verification rules of the source
 // dialects — the frontend verifier. The registry is memoized and

@@ -117,12 +117,7 @@ func Semantics() *interp.Dialect {
 			return fmt.Errorf("llvm.mlir.constant with unsupported type %s", t)
 		}
 	})
-	d.RegisterFusable("llvm.mlir.constant", interp.FuseSpec{Kind: interp.FuseConst, Const: constValue})
 
-	// Executor arithmetic fuses too: lowered modules are where the
-	// campaign spends most of its execution budget. The fuse spec shares
-	// the kernel's semantic closure, so poison and trap modelling is
-	// identical either way.
 	bin := func(name string, f func(a, b rtval.Int) (rtval.Int, error)) {
 		d.Register(name, func(ctx *interp.Context, op *ir.Operation) error {
 			a, err := ctx.GetInt(op.Operands[0])
@@ -139,7 +134,6 @@ func Semantics() *interp.Dialect {
 			}
 			return ctx.Define(op.Results[0], rtval.Box(r))
 		})
-		d.RegisterFusable(name, interp.FuseSpec{Kind: interp.FuseBinErr, Err: f})
 	}
 
 	bin("llvm.add", func(a, b rtval.Int) (rtval.Int, error) { return a.Add(b), nil })
@@ -241,7 +235,6 @@ func Semantics() *interp.Dialect {
 		}
 		return ctx.Define(op.Results[0], rtval.Box(r))
 	})
-	d.RegisterFusable("llvm.icmp", interp.FuseSpec{Kind: interp.FuseCmp, Cmp: bindIcmp})
 
 	d.Register("llvm.select", func(ctx *interp.Context, op *ir.Operation) error {
 		cond, err := ctx.GetInt(op.Operands[0])
@@ -261,7 +254,6 @@ func Semantics() *interp.Dialect {
 		}
 		return ctx.Define(op.Results[0], rtval.Box(cond.Select(t, f)))
 	})
-	d.RegisterFusable("llvm.select", interp.FuseSpec{Kind: interp.FuseSelect, Sel: fusedSelect})
 
 	cast := func(name string, f func(a rtval.Int, to ir.Type) rtval.Int) {
 		d.Register(name, func(ctx *interp.Context, op *ir.Operation) error {
@@ -271,7 +263,6 @@ func Semantics() *interp.Dialect {
 			}
 			return ctx.Define(op.Results[0], rtval.Box(f(a, op.Results[0].Type)))
 		})
-		d.RegisterFusable(name, interp.FuseSpec{Kind: interp.FuseCast, Cast: f})
 	}
 	cast("llvm.trunc", func(a rtval.Int, to ir.Type) rtval.Int {
 		w, _ := ir.BitWidth(to)
@@ -316,43 +307,6 @@ func poisonLike(a rtval.Int) rtval.Int {
 		return rtval.UndefInt(ir.Index)
 	}
 	return rtval.UndefInt(ir.I(a.Width()))
-}
-
-// constValue extracts a scalar llvm.mlir.constant at compile time; a
-// malformed constant declines so the kernel raises its exact error.
-func constValue(op *ir.Operation) (rtval.Int, bool) {
-	v, ok := op.Attrs.Get("value").(ir.IntegerAttr)
-	if !ok {
-		return rtval.Int{}, false
-	}
-	switch t := op.Results[0].Type.(type) {
-	case ir.IntegerType:
-		return rtval.NewInt(t.Width, v.Value), true
-	case ir.IndexType:
-		return rtval.NewIndex(v.Value), true
-	}
-	return rtval.Int{}, false
-}
-
-// bindIcmp binds llvm.icmp's predicate at compile time; missing
-// predicates decline (the kernel reports the error).
-func bindIcmp(op *ir.Operation) (func(a, b rtval.Int) (rtval.Int, error), bool) {
-	p, ok := op.Attrs.IntValueOf("predicate")
-	if !ok {
-		return nil, false
-	}
-	pred := rtval.CmpPredicate(p)
-	return func(a, b rtval.Int) (rtval.Int, error) { return a.Cmp(pred, b) }, true
-}
-
-// fusedSelect is llvm.select over already-read operands: an undefined
-// condition yields poison of the true branch's shape (hardware select
-// semantics), never an error.
-func fusedSelect(cond, t, f rtval.Int) (rtval.Int, error) {
-	if !cond.Defined() {
-		return poisonLike(t), nil
-	}
-	return cond.Select(t, f), nil
 }
 
 // Specs returns the static rules for the llvm dialect. The target-level

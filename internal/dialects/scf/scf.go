@@ -120,16 +120,6 @@ func Semantics() *interp.Dialect {
 		}
 		return interp.TermResult{Exit: ex}, nil
 	})
-	d.RegisterFusable("scf.yield", interp.FuseSpec{Kind: interp.FuseYield})
-	// scf.for follows the engine's counted-loop protocol; the closure
-	// is the kernel's exact step validation.
-	d.RegisterFusable("scf.for", interp.FuseSpec{Kind: interp.FuseFor, StepCheck: func(step rtval.Int) error {
-		if step.Signed() <= 0 {
-			return &rtval.UBError{Op: "scf.for", Reason: "loop step must be positive"}
-		}
-		return nil
-	}})
-
 	return d
 }
 

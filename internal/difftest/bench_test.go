@@ -7,38 +7,25 @@ import (
 	"ratte/internal/compiler"
 	"ratte/internal/dialects"
 	"ratte/internal/gen"
-	"ratte/internal/interp"
 	"ratte/internal/ir"
 )
 
 // BenchmarkExecutorRunOnce measures what the campaign's executor does
-// with one lowered module: run it once. For each preset the modules are
-// the lowered programs of seeds 1-100 (size 30, the benchmark's program
-// size) under every BuildConfigs entry. One op is one module: walk
-// tree-walks it (Interpreter.Run, the campaign's path), compile-run
-// compiles it and runs the compiled program once.
+// with one lowered module: tree-walk it once (Interpreter.Run). For
+// each preset the modules are the lowered programs of seeds 1-100
+// (size 30, the benchmark's program size) under every BuildConfigs
+// entry; one op is one module.
 func BenchmarkExecutorRunOnce(b *testing.B) {
 	for _, preset := range gen.AllPresets() {
 		b.Run(preset, func(b *testing.B) {
 			mods := loweredModules(b, preset, 100)
-			run := func(b *testing.B, once func(*interp.Interpreter, *ir.Module) (*interp.Result, error)) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := once(dialects.NewExecutor(), mods[i%len(mods)]); err != nil {
-						b.Fatal(err)
-					}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dialects.NewExecutor().Run(mods[i%len(mods)], "main"); err != nil {
+					b.Fatal(err)
 				}
 			}
-			b.Run("walk", func(b *testing.B) {
-				run(b, func(ex *interp.Interpreter, m *ir.Module) (*interp.Result, error) {
-					return ex.Run(m, "main")
-				})
-			})
-			b.Run("compile-run", func(b *testing.B) {
-				run(b, func(ex *interp.Interpreter, m *ir.Module) (*interp.Result, error) {
-					return ex.RunProgram(interp.Compile(dialects.ExecutorRegistry(), m), "main")
-				})
-			})
 		})
 	}
 }

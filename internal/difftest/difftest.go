@@ -99,14 +99,14 @@ func newReport(preset, reference string, lrs []LevelResult) *Report {
 
 // interpretAll runs every successfully compiled output through run and
 // passes every compile error through, one LevelResult per output.
-func interpretAll(outs []compiler.ConfigResult, run func(i int, m *ir.Module) (*interp.Result, error)) []LevelResult {
+func interpretAll(outs []compiler.ConfigResult, run func(m *ir.Module) (*interp.Result, error)) []LevelResult {
 	lrs := make([]LevelResult, len(outs))
 	for i, out := range outs {
 		if out.Err != nil {
 			lrs[i].CompileErr = out.Err
 			continue
 		}
-		res, err := run(i, out.Module)
+		res, err := run(out.Module)
 		if err != nil {
 			lrs[i].RunErr = err
 		} else {
@@ -117,7 +117,7 @@ func interpretAll(outs []compiler.ConfigResult, run func(i int, m *ir.Module) (*
 }
 
 // runMain runs a compiled module's main on a fresh executor.
-func runMain(_ int, m *ir.Module) (*interp.Result, error) {
+func runMain(m *ir.Module) (*interp.Result, error) {
 	return dialects.NewExecutor().Run(m, "main")
 }
 
@@ -228,10 +228,9 @@ type CampaignConfig struct {
 	// without coverage (see coverage.go).
 	FamilySize int
 	// Batched selects the shared-work execution strategy for family
-	// mode: one verify, one pass-pipeline compilation per build
-	// configuration and one interp.Compile per compiled configuration
-	// for the whole family, with members run through RunProgramArgs.
-	// Batched is purely an execution strategy — verdicts, journals and
+	// mode: one verify and one pass-pipeline compilation per build
+	// configuration for the whole family, with every member
+	// tree-walking the lowered modules on its own arguments. Batched is purely an execution strategy — verdicts, journals and
 	// ReportText are byte-identical with it on or off — and requires
 	// FamilySize > 1.
 	Batched bool
@@ -405,7 +404,7 @@ func Classify(m *ir.Module, preset string) Classification {
 	if !cl.Compiled {
 		return cl
 	}
-	// The UB-free run: one tree walk, so nothing is compiled.
+	// The UB-free run: one tree walk.
 	in := dialects.NewReferenceInterpreter()
 	in.MaxSteps = 2_000_000
 	if _, err := in.Run(m, "main"); err == nil {

@@ -7,13 +7,12 @@
 // argument vector — member 0 on the original constants, later members
 // on deterministically mutated ones. Batched execution (Batched=true)
 // then shares everything that depends only on the module across the
-// family: one verify, one pass-pipeline compilation per configuration,
-// and one interp.Compile per compiled configuration, with members run
-// through Interpreter.RunProgramArgs. The unbatched strategy runs the
-// identical members through the full per-member pipeline and is the
-// yardstick: verdicts, journals and ReportText are byte-identical
-// between the two strategies, which the determinism tests and the CI
-// step pin.
+// family: one verify and one pass-pipeline compilation per
+// configuration; each member tree-walks the lowered modules on its own
+// arguments. The unbatched strategy runs the identical members through
+// the full per-member pipeline and is the yardstick: verdicts, journals
+// and ReportText are byte-identical between the two strategies, which
+// the determinism tests and the CI step pin.
 package difftest
 
 import (
@@ -210,11 +209,13 @@ func runFamily(ctx context.Context, cfg *CampaignConfig, baseSeed int64, count i
 
 // testMembers runs the verify, compile, interpret and compare stages
 // for every live member. The batched strategy computes the module-level
-// work products — verification, one pass-pipeline compilation per
-// configuration and one interp.Compile per compiled configuration —
-// at the first live member and reuses them for the rest, running each
-// member through RunProgramArgs. The unbatched strategy, the yardstick
-// batching is measured against, recomputes all of it per member.
+// work products — verification and one pass-pipeline compilation per
+// configuration — at the first live member and reuses them for the
+// rest. Every member tree-walks the lowered modules on its own
+// arguments; compiling them once per family cost more than it saved
+// at the family sizes campaigns run (DESIGN.md §8). The unbatched
+// strategy, the yardstick batching is measured against, recomputes all
+// of it per member.
 // Reusing a shared stage's failure keeps member verdicts identical
 // between the two: a deterministic panic in a shared stage would hit
 // every member's private run of that stage too.
@@ -223,7 +224,6 @@ func testMembers(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, member
 		cres   []compiler.ConfigResult
 		verr   error
 		shared *StageFailure
-		progs  []*interp.CompiledProgram
 		reuse  bool
 	)
 	for j := range members {
@@ -237,7 +237,6 @@ func testMembers(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, member
 		}
 		if !reuse {
 			cres, verr, shared = verifyCompile(cfg, mem.seed, pm, &compiler.Options{Bugs: cfg.Bugs})
-			progs = make([]*interp.CompiledProgram, len(cres))
 			reuse = cfg.Batched
 		}
 		if shared != nil {
@@ -249,20 +248,11 @@ func testMembers(ctx context.Context, cfg *CampaignConfig, pm *ir.Module, member
 			lrs = rejected(cfg, verr)
 		} else {
 			var sf *StageFailure
-			lrs, sf = interpretStage(cfg, mem.seed, pm, cres, func(i int, m *ir.Module) (*interp.Result, error) {
+			lrs, sf = interpretStage(cfg, mem.seed, pm, cres, func(m *ir.Module) (*interp.Result, error) {
 				ex := dialects.NewExecutor()
 				ex.MaxSteps = familyMaxSteps
 				ex.Metrics = cfg.Telemetry.interpMetrics()
-				if !cfg.Batched {
-					return ex.RunArgs(m, "main", mem.args)
-				}
-				// Compiled lazily inside the member's guard, so a
-				// compile panic fails that member's stage, not the
-				// whole family. Unbatched runs never compile.
-				if progs[i] == nil {
-					progs[i] = dialects.ExecutorProgramCache().Get(dialects.ExecutorRegistry(), m)
-				}
-				return ex.RunProgramArgs(progs[i], "main", mem.args)
+				return ex.RunArgs(m, "main", mem.args)
 			})
 			if sf != nil {
 				outs[j] = failedOutcome(mem.seed, sf)

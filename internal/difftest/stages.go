@@ -165,7 +165,7 @@ func rejected(cfg *CampaignConfig, verr error) []LevelResult {
 }
 
 // interpretStage is interpretAll as a guarded stage with its span.
-func interpretStage(cfg *CampaignConfig, seed int64, m *ir.Module, outs []compiler.ConfigResult, run func(i int, m *ir.Module) (*interp.Result, error)) (lrs []LevelResult, sf *StageFailure) {
+func interpretStage(cfg *CampaignConfig, seed int64, m *ir.Module, outs []compiler.ConfigResult, run func(m *ir.Module) (*interp.Result, error)) (lrs []LevelResult, sf *StageFailure) {
 	t0 := cfg.Telemetry.stageStart()
 	sf = guard(StageInterpret, seed, m, func() {
 		lrs = interpretAll(outs, run)
@@ -244,7 +244,7 @@ func testOnce(ctx context.Context, cfg *CampaignConfig, seed int64, prog *gen.Pr
 	if verr != nil {
 		lrs = rejected(cfg, verr)
 	} else {
-		lrs, sf = interpretStage(cfg, seed, m, outs, func(_ int, m *ir.Module) (*interp.Result, error) {
+		lrs, sf = interpretStage(cfg, seed, m, outs, func(m *ir.Module) (*interp.Result, error) {
 			ex := dialects.NewExecutor()
 			ex.Ctx = pctx
 			ex.Faults = inj

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"ratte/internal/compiler"
-	"ratte/internal/dialects"
 	"ratte/internal/faultinject"
 	"ratte/internal/gen"
 	"ratte/internal/interp"
@@ -114,8 +113,6 @@ func NewCampaignTelemetry(reg *telemetry.Registry) *CampaignTelemetry {
 		`stage="`+journalStage+`"`, "per-seed pipeline stage latency")
 	t.genM = gen.NewMetrics(reg)
 	t.interpM = interp.NewMetrics(reg)
-
-	interp.RegisterProgramCacheMetrics(reg, "executor", dialects.ExecutorProgramCache())
 	return t
 }
 

@@ -62,8 +62,8 @@ const (
 	// SiteCompilerRegistry fires at pass-registry lookup during
 	// shared-prefix compilation (compiler.CompileConfigs).
 	SiteCompilerRegistry = "compiler/registry"
-	// SiteInterpDispatch fires before each operation dispatch, in both
-	// the tree-walking and the compiled execution engine.
+	// SiteInterpDispatch fires before each operation dispatch in the
+	// interpreter.
 	SiteInterpDispatch = "interp/dispatch"
 	// SiteInterpRegistry fires at kernel-registry and function-table
 	// lookups in the interpreter.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ratte/internal/dialects"
-	"ratte/internal/interp"
 	"ratte/internal/ir"
 )
 
@@ -31,8 +30,7 @@ func straightLineSrc(n int) string {
 }
 
 // scfLoopSrc builds a main whose work is an iters-trip scf.for
-// accumulating over the induction variable — structured control flow,
-// the compiled engine's home turf.
+// accumulating over the induction variable — structured control flow.
 func scfLoopSrc(iters int) string {
 	return fmt.Sprintf(`"builtin.module"() ({
   "func.func"() ({
@@ -90,7 +88,8 @@ func mustParseB(b *testing.B, src string) *ir.Module {
 	return m
 }
 
-func benchTree(b *testing.B, m *ir.Module) {
+// benchWalk measures one executor tree walk of m per op.
+func benchWalk(b *testing.B, m *ir.Module) {
 	in := dialects.NewExecutor()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -101,55 +100,19 @@ func benchTree(b *testing.B, m *ir.Module) {
 	}
 }
 
-func benchCompiled(b *testing.B, m *ir.Module) {
-	in := dialects.NewExecutor()
-	prog := interp.Compile(dialects.ExecutorRegistry(), m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := in.RunProgram(prog, "main"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkInterpStraightLine: per-run cost on a 60-op straight line.
-// The compiled numbers here exclude Compile itself, which costs more
-// than one walk.
 func BenchmarkInterpStraightLine(b *testing.B) {
-	m := mustParseB(b, straightLineSrc(60))
-	b.Run("tree", func(b *testing.B) { benchTree(b, m) })
-	b.Run("compiled", func(b *testing.B) { benchCompiled(b, m) })
+	benchWalk(b, mustParseB(b, straightLineSrc(60)))
 }
 
-// BenchmarkInterpSCFLoop: a 2000-trip structured loop, the workload the
-// compiled engine exists for — every iteration re-enters the body
-// region, which the tree walker pays for in map churn and the engine
-// in frame-slot clears.
+// BenchmarkInterpSCFLoop: a 2000-trip structured loop — every iteration
+// re-enters the body region.
 func BenchmarkInterpSCFLoop(b *testing.B) {
-	m := mustParseB(b, scfLoopSrc(2000))
-	b.Run("tree", func(b *testing.B) { benchTree(b, m) })
-	b.Run("compiled", func(b *testing.B) { benchCompiled(b, m) })
+	benchWalk(b, mustParseB(b, scfLoopSrc(2000)))
 }
 
 // BenchmarkInterpCFLoop: the same 2000 iterations as an explicit CFG
 // with block-argument branches (the post-lowering shape).
 func BenchmarkInterpCFLoop(b *testing.B) {
-	m := mustParseB(b, cfLoopSrc(2000))
-	b.Run("tree", func(b *testing.B) { benchTree(b, m) })
-	b.Run("compiled", func(b *testing.B) { benchCompiled(b, m) })
-}
-
-// BenchmarkInterpCompile: the one-time cost of Compile itself, over the
-// loop module (arena-allocated — a handful of allocations per module).
-func BenchmarkInterpCompile(b *testing.B) {
-	m := mustParseB(b, scfLoopSrc(2000))
-	reg := dialects.ExecutorRegistry()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if interp.Compile(reg, m) == nil {
-			b.Fatal("nil program")
-		}
-	}
+	benchWalk(b, mustParseB(b, cfLoopSrc(2000)))
 }

@@ -128,3 +128,110 @@ func TestEvalErrorClassificationSurvivesWrapping(t *testing.T) {
 		t.Errorf("nested UB should classify as UB, got %v", err)
 	}
 }
+
+// TestRuntimeFaultErrors pins the walker's failure behaviour for every
+// runtime fault class: the error text and the UB/trap classification.
+// The difftest harness compares run errors textually, so a changed
+// message reads as a miscompilation.
+func TestRuntimeFaultErrors(t *testing.T) {
+	wrap := func(body string) string {
+		return `"builtin.module"() ({
+  "func.func"() ({
+` + body + `
+    "func.return"() : () -> ()
+  }) {sym_name = "main", function_type = () -> ()} : () -> ()
+}) : () -> ()`
+	}
+	cases := []struct {
+		name     string
+		src      string
+		maxSteps int
+		maxDepth int
+		wantSub  string // substring the error must contain
+		wantTrap bool
+	}{
+		{
+			name: "step_limit",
+			src: `"builtin.module"() ({
+  "func.func"() ({
+  ^bb0:
+    "cf.br"()[^loop] : () -> ()
+  ^loop:
+    "cf.br"()[^loop] : () -> ()
+  }) {sym_name = "main", function_type = () -> ()} : () -> ()
+}) : () -> ()`,
+			maxSteps: 100,
+			wantSub:  "step limit exceeded",
+			wantTrap: true,
+		},
+		{
+			name: "call_depth",
+			src: `"builtin.module"() ({
+  "func.func"() ({
+    "func.call"() {callee = @main} : () -> ()
+    "func.return"() : () -> ()
+  }) {sym_name = "main", function_type = () -> ()} : () -> ()
+}) : () -> ()`,
+			maxDepth: 20,
+			wantSub:  "call depth exceeded",
+			wantTrap: true,
+		},
+		{
+			name: "use_before_def",
+			src: wrap(`    %s = "arith.addi"(%later, %later) : (i64, i64) -> (i64)
+    %later = "arith.constant"() {value = 1 : i64} : () -> (i64)`),
+			wantSub: "use of undefined value %later",
+		},
+		{
+			name:    "unregistered_op",
+			src:     wrap(`    "mystery.op"() : () -> ()`),
+			wantSub: "no semantics registered for mystery.op",
+		},
+		{
+			name: "unknown_branch_target",
+			src: `"builtin.module"() ({
+  "func.func"() ({
+  ^bb0:
+    "cf.br"()[^nowhere] : () -> ()
+  }) {sym_name = "main", function_type = () -> ()} : () -> ()
+}) : () -> ()`,
+			wantSub: "branch to unknown block ^nowhere",
+		},
+		{
+			name: "block_arg_type_mismatch",
+			src: `"builtin.module"() ({
+  "func.func"() ({
+  ^bb0:
+    %a = "arith.constant"() {value = 7 : i64} : () -> (i64)
+    "cf.br"()[^merge(%a : i32)] : () -> ()
+  ^merge(%x: i32):
+    "func.return"() : () -> ()
+  }) {sym_name = "main", function_type = () -> ()} : () -> ()
+}) : () -> ()`,
+			wantSub: "has runtime type i64 but is used at type i32",
+		},
+		{
+			name:    "call_unknown_function",
+			src:     wrap(`    "func.call"() {callee = @ghost} : () -> ()`),
+			wantSub: "call to unknown function @ghost",
+		},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			in := dialects.NewExecutor()
+			in.MaxSteps = tc.maxSteps
+			in.MaxCallDepth = tc.maxDepth
+			_, err := in.Run(mustParse(t, tc.src), "main")
+			if err == nil {
+				t.Fatal("run did not fail")
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Errorf("error %q does not mention %q", err, tc.wantSub)
+			}
+			if got := interp.IsTrap(err); got != tc.wantTrap {
+				t.Errorf("IsTrap = %v, want %v", got, tc.wantTrap)
+			}
+		})
+	}
+}

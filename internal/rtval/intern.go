@@ -1,9 +1,9 @@
 // Small-value interning: pre-boxed Value views of the Ints the hot
 // paths produce over and over — loop counters, comparison results,
 // generated-program constants. Converting an Int (a 24-byte struct) to
-// the Value interface heap-allocates a copy every time; for the
-// compiled engine that boxing is the dominant per-iteration allocation
-// (every frame-slot store is an interface value). Interning mirrors
+// the Value interface heap-allocates a copy every time; in interpreter
+// loops that boxing is a dominant per-iteration allocation (every
+// binding is an interface value). Interning mirrors
 // what package ir does for scalar types: one immutable boxed copy per
 // (type, small value), shared by every reader.
 //

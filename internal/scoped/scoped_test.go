@@ -71,20 +71,6 @@ func TestPopOutermostPanics(t *testing.T) {
 	New[int]().Pop()
 }
 
-func TestInInnermost(t *testing.T) {
-	tab := NewSlotTable()
-	tab.Push(Standard)
-	tab.Alloc("x")
-	tab.Push(Standard)
-	if tab.InInnermost("x") {
-		t.Error("x is in the parent, not innermost")
-	}
-	tab.Alloc("x")
-	if !tab.InInnermost("x") {
-		t.Error("x now bound in innermost")
-	}
-}
-
 func mustDefine[V any](t *testing.T, tab *Table[V], k string, v V) {
 	t.Helper()
 	if err := tab.Define(k, v); err != nil {
