@@ -73,13 +73,6 @@ func SiteName(s Site) string {
 	return universe.names[s]
 }
 
-// UniverseSize reports how many sites are registered process-wide.
-func UniverseSize() int {
-	universe.mu.Lock()
-	defer universe.mu.Unlock()
-	return len(universe.names)
-}
-
 // Keyed is a family of sites sharing one prefix and distinguished by a
 // key — e.g. rewrite applications by op name, executed ops by kind.
 // The full site name ("prefix/key") is built only on first

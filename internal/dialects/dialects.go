@@ -101,11 +101,6 @@ func Target() []*interp.Dialect {
 	return append(make([]*interp.Dialect, 0, len(cached)), cached...)
 }
 
-// SourceRegistry returns the composed, shared kernel registry of the
-// source dialects. Interpreters over it are cheap to instantiate and
-// safe to use from concurrent workers (one interpreter per worker).
-func SourceRegistry() *interp.Registry { return sourceRegistry() }
-
 // ExecutorRegistry returns the composed, shared kernel registry of
 // every dialect (source + target levels).
 func ExecutorRegistry() *interp.Registry { return executorRegistry() }

@@ -234,8 +234,8 @@ type CampaignConfig struct {
 	// ReportText are byte-identical with it on or off — and requires
 	// FamilySize > 1.
 	Batched bool
-	// Telemetry, when non-nil, receives stage spans, verdict counters,
-	// generator coverage and cache/journal gauges as the campaign runs
+	// Telemetry, when non-nil, receives stage latencies, verdict
+	// counters, generator coverage and journal gauges as the campaign runs
 	// (see NewCampaignTelemetry). Telemetry observes and never steers:
 	// verdicts and reports are byte-identical with it on or off, and a
 	// nil Telemetry keeps every instrumentation point at a bare nil

@@ -190,7 +190,7 @@ func runFamily(ctx context.Context, cfg *CampaignConfig, baseSeed int64, count i
 			}
 			refOut = res.Output
 		})
-		cfg.Telemetry.stageDone(mem.seed, StageReference, t0, spanOutcome(sf, refErr))
+		cfg.Telemetry.stageDone(mem.seed, StageReference, t0)
 		switch {
 		case sf != nil:
 			outs[j] = failedOutcome(mem.seed, sf)

@@ -105,21 +105,8 @@ func generateStage(cfg *CampaignConfig, seed int64, cov *coverage.Map) (p *gen.P
 	if sf != nil {
 		p, err = nil, nil
 	}
-	cfg.Telemetry.stageDone(seed, StageGenerate, t0, spanOutcome(sf, err))
+	cfg.Telemetry.stageDone(seed, StageGenerate, t0)
 	return p, sf, err
-}
-
-// spanOutcome classifies a stage execution for its span record.
-func spanOutcome(sf *StageFailure, err error) string {
-	switch {
-	case sf != nil && sf.Injected:
-		return "injected"
-	case sf != nil:
-		return "panic"
-	case err != nil:
-		return "error"
-	}
-	return "ok"
 }
 
 // verifyCompile runs the verify and compile stages over m, each under
@@ -133,7 +120,7 @@ func verifyCompile(cfg *CampaignConfig, seed int64, m *ir.Module, opts *compiler
 	sf = guard(StageVerify, seed, m, func() {
 		verr = verify.Module(m, dialects.SourceSpecs())
 	})
-	cfg.Telemetry.stageDone(seed, StageVerify, t0, spanOutcome(sf, verr))
+	cfg.Telemetry.stageDone(seed, StageVerify, t0)
 	if sf != nil || verr != nil {
 		return nil, verr, sf
 	}
@@ -146,7 +133,7 @@ func verifyCompile(cfg *CampaignConfig, seed int64, m *ir.Module, opts *compiler
 			outs = compiler.CompileConfigsOpts(m, cfg.Preset, opts, BuildConfigs)
 		}
 	})
-	cfg.Telemetry.stageDone(seed, StageCompile, tc, spanOutcome(sf, nil))
+	cfg.Telemetry.stageDone(seed, StageCompile, tc)
 	return outs, nil, sf
 }
 
@@ -170,7 +157,7 @@ func interpretStage(cfg *CampaignConfig, seed int64, m *ir.Module, outs []compil
 	sf = guard(StageInterpret, seed, m, func() {
 		lrs = interpretAll(outs, run)
 	})
-	cfg.Telemetry.stageDone(seed, StageInterpret, t0, spanOutcome(sf, nil))
+	cfg.Telemetry.stageDone(seed, StageInterpret, t0)
 	return lrs, sf
 }
 
@@ -186,7 +173,7 @@ func compareStage(cfg *CampaignConfig, m *ir.Module, det *Detection) (Verdict, *
 			det.Oracle = det.Report.Detected()
 		}
 	})
-	cfg.Telemetry.stageDone(det.Seed, StageCompare, t0, spanOutcome(sf, nil))
+	cfg.Telemetry.stageDone(det.Seed, StageCompare, t0)
 	switch {
 	case sf != nil:
 		return Verdict{}, sf

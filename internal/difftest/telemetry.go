@@ -1,11 +1,13 @@
 // Campaign telemetry: the instrument bundle the campaign engine feeds
 // while it runs. One CampaignTelemetry owns a metrics registry and a
-// span recorder; the per-seed pipeline records a span per stage
-// (generate/verify/compile/interpret/compare, plus journal I/O), the
-// sequencer counts verdicts as it sequences them, the generator reports
-// its op-coverage distribution, the interpreter its run/step counters,
-// and the executor's compile accounting is exported as callback gauges
-// read only at scrape time.
+// span recorder. Every execution of a per-seed pipeline stage
+// (generate, reference, verify, compile, interpret, compare) and every
+// journal append is observed in the registry's
+// ratte_stage_latency_ns{stage} histograms, the one per-stage latency
+// record; the span recorder only sums each seed's stage time for the
+// slowest-seeds list. The sequencer counts verdicts as it sequences
+// them, the generator reports its op-coverage distribution and the
+// interpreter its run/step counters.
 //
 // Everything here is observation: a campaign with telemetry attached
 // produces the byte-identical ReportText of one without, serial or
@@ -15,7 +17,9 @@
 package difftest
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,28 +32,23 @@ import (
 	"ratte/internal/telemetry"
 )
 
-// DefaultSlowestN is how many of the costliest seeds the telemetry
-// report section lists.
-const DefaultSlowestN = 10
-
-// journalStage is the span-recorder key for journal appends; it sits
-// beside the pipeline stages in the latency table.
+// journalStage is the stage label of journal appends; it sits beside
+// the pipeline stages in the latency table.
 const journalStage = "journal"
+
+// timedStages are the pipeline stages with a latency histogram.
+var timedStages = []Stage{StageGenerate, StageReference, StageVerify, StageCompile, StageInterpret, StageCompare}
 
 // CampaignTelemetry instruments one campaign. Construct with
 // NewCampaignTelemetry and attach via CampaignConfig.Telemetry; all
 // methods are safe on a nil receiver and from concurrent workers.
 type CampaignTelemetry struct {
-	// Registry holds every metric this campaign emits (plus the
-	// process-wide executor compile gauges). Export it via
-	// PrometheusText / Snapshot, or serve it with telemetry.Serve.
+	// Registry holds every metric this campaign emits, the per-stage
+	// latency histograms among them. Export it via PrometheusText /
+	// Snapshot, or serve it with telemetry.Serve.
 	Registry *telemetry.Registry
-	// Spans is the stage-span recorder behind the latency table and
-	// the slowest-seeds list.
+	// Spans sums each seed's stage time for the slowest-seeds list.
 	Spans *telemetry.SpanRecorder
-	// SlowestN overrides how many seeds ReportSection lists
-	// (DefaultSlowestN if 0).
-	SlowestN int
 
 	seedsDone   *telemetry.Counter
 	verdicts    *telemetry.CounterVec
@@ -75,16 +74,14 @@ type CampaignTelemetry struct {
 }
 
 // NewCampaignTelemetry builds the campaign instrument bundle on the
-// given registry (a fresh private registry when reg is nil). The
-// executor's compile accounting is registered as callback gauges — its
-// counters are always on; exporting them costs nothing until scraped.
+// given registry (a fresh private registry when reg is nil).
 func NewCampaignTelemetry(reg *telemetry.Registry) *CampaignTelemetry {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	t := &CampaignTelemetry{
 		Registry: reg,
-		Spans:    telemetry.NewSpanRecorder(0),
+		Spans:    telemetry.NewSpanRecorder(),
 		seedsDone: reg.Counter("ratte_campaign_seeds_done_total",
 			"seeds with a final verdict (resumed seeds included)"),
 		verdicts: reg.CounterVec("ratte_campaign_verdicts_total", "kind",
@@ -105,7 +102,7 @@ func NewCampaignTelemetry(reg *telemetry.Registry) *CampaignTelemetry {
 	t.vDetection = t.verdicts.With(string(VerdictDetection))
 	t.vFailure = t.verdicts.With(string(VerdictStageFailure))
 	t.vTimeout = t.verdicts.With(string(VerdictTimeout))
-	for _, st := range []Stage{StageGenerate, StageVerify, StageCompile, StageInterpret, StageCompare} {
+	for _, st := range timedStages {
 		t.stageLat[st] = reg.HistogramWith("ratte_stage_latency_ns",
 			`stage="`+string(st)+`"`, "per-seed pipeline stage latency")
 	}
@@ -135,13 +132,13 @@ func (t *CampaignTelemetry) stageStart() time.Time {
 	return time.Now()
 }
 
-// stageDone records one stage span.
-func (t *CampaignTelemetry) stageDone(seed int64, stage Stage, start time.Time, outcome string) {
+// stageDone records one stage execution of a seed.
+func (t *CampaignTelemetry) stageDone(seed int64, stage Stage, start time.Time) {
 	if t == nil {
 		return
 	}
 	d := time.Since(start)
-	t.Spans.Record(seed, string(stage), d, outcome)
+	t.Spans.Record(seed, d)
 	t.stageLat[stage].ObserveDuration(d)
 }
 
@@ -151,8 +148,9 @@ func (t *CampaignTelemetry) onFault(f faultinject.Fault) {
 }
 
 // onVerdict folds one sequenced verdict into the counters and
-// finalizes the seed's span total. The sequencer calls it exactly where
-// it records the verdict, so counts match the final report.
+// finalizes the seed's stage-time total. The sequencer calls it
+// exactly where it records the verdict, so counts match the final
+// report.
 func (t *CampaignTelemetry) onVerdict(v Verdict) {
 	if t == nil {
 		return
@@ -180,14 +178,13 @@ func (t *CampaignTelemetry) onVerdict(v Verdict) {
 	t.Spans.SeedDone(v.Seed, string(v.Kind))
 }
 
-// journalDone records one journal append's latency.
+// journalDone records one journal append's latency. Appends belong to
+// no seed, so they stay out of the slowest-seeds totals.
 func (t *CampaignTelemetry) journalDone(start time.Time) {
 	if t == nil {
 		return
 	}
-	d := time.Since(start)
-	t.journalLat.ObserveDuration(d)
-	t.Spans.Record(-1, journalStage, d, "")
+	t.journalLat.ObserveDuration(time.Since(start))
 }
 
 // attachJournal exposes the journal's line/byte counters as gauges
@@ -279,18 +276,65 @@ func (t *CampaignTelemetry) ProgressLine() string {
 	return b.String()
 }
 
+// stageRow is one row of the report's latency table.
+type stageRow struct {
+	stage string
+	h     *telemetry.Histogram
+}
+
 // ReportSection renders the telemetry appendix of the final report:
-// the per-stage latency table and the slowest-N seeds. Timings vary
-// run to run, so this section is printed after — never inside — the
-// canonical ReportText the determinism guards compare. Returns "" when
-// telemetry is off.
+// the per-stage latency table, read from the ratte_stage_latency_ns
+// histograms and sorted by total time (where the wall-clock went), and
+// the slowest seeds. Timings vary run to run, so this section is
+// printed after — never inside — the canonical ReportText the
+// determinism guards compare. Returns "" when telemetry is off or no
+// stage ran.
 func (t *CampaignTelemetry) ReportSection() string {
 	if t == nil {
 		return ""
 	}
-	n := t.SlowestN
-	if n <= 0 {
-		n = DefaultSlowestN
+	rows := make([]stageRow, 0, len(timedStages)+1)
+	for _, st := range timedStages {
+		rows = append(rows, stageRow{string(st), t.stageLat[st]})
 	}
-	return t.Spans.ReportSection(n)
+	rows = append(rows, stageRow{journalStage, t.journalLat})
+	rows = slices.DeleteFunc(rows, func(r stageRow) bool { return r.h.Count() == 0 })
+	if len(rows) == 0 {
+		return ""
+	}
+	slices.SortFunc(rows, func(a, b stageRow) int {
+		if c := cmp.Compare(b.h.Sum(), a.h.Sum()); c != 0 {
+			return c
+		}
+		return strings.Compare(a.stage, b.stage)
+	})
+	var b strings.Builder
+	b.WriteString("telemetry:\n")
+	b.WriteString("  stage        count      total       mean        p50        p99\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %-10s %7d %10s %10s %10s %10s\n",
+			r.stage, r.h.Count(), fmtDur(time.Duration(r.h.Sum())), fmtDur(r.h.Mean()),
+			fmtDur(r.h.Quantile(0.50)), fmtDur(r.h.Quantile(0.99)))
+	}
+	if slow := t.Spans.SlowestSeeds(); len(slow) > 0 {
+		fmt.Fprintf(&b, "  slowest seeds (top %d):\n", len(slow))
+		for _, sc := range slow {
+			fmt.Fprintf(&b, "    seed %-12d %10s  %s\n", sc.Seed, fmtDur(sc.Total), sc.Outcome)
+		}
+	}
+	return b.String()
+}
+
+// fmtDur renders a duration compactly with millisecond/microsecond
+// granularity appropriate to its size.
+func fmtDur(d time.Duration) string {
+	switch {
+	case d >= time.Second:
+		return fmt.Sprintf("%.2fs", d.Seconds())
+	case d >= time.Millisecond:
+		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
+	case d >= time.Microsecond:
+		return fmt.Sprintf("%.1fµs", float64(d)/float64(time.Microsecond))
+	}
+	return fmt.Sprintf("%dns", d.Nanoseconds())
 }

@@ -1,6 +1,7 @@
 package difftest_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -129,15 +130,10 @@ func TestCampaignTelemetryCounters(t *testing.T) {
 		t.Error("interpreter reported no runs")
 	}
 
-	// Stage spans were recorded for the full pipeline.
-	stats := tel.Spans.StageStats()
-	seen := map[string]bool{}
-	for _, st := range stats {
-		seen[st.Stage] = true
-	}
+	// Stage latency was recorded for the full pipeline.
 	for _, stage := range []string{"generate", "verify", "compile", "interpret", "compare"} {
-		if !seen[stage] {
-			t.Errorf("no spans recorded for stage %q (have %v)", stage, stats)
+		if stageHist(snap, stage).Count == 0 {
+			t.Errorf("no latency recorded for stage %q", stage)
 		}
 	}
 
@@ -191,18 +187,93 @@ func TestTelemetryJournalGauges(t *testing.T) {
 	if got := snap["ratte_journal_bytes"].(int64); got <= 0 {
 		t.Errorf("journal bytes = %d, want > 0", got)
 	}
-	// The journal stage appears in the span latency table.
-	found := false
-	for _, st := range tel.Spans.StageStats() {
-		if st.Stage == "journal" {
-			found = true
-			if st.Count != uint64(len(res.Verdicts)) {
-				t.Errorf("journal spans = %d, want %d", st.Count, len(res.Verdicts))
-			}
+	// Every journal append is timed in the journal stage's histogram.
+	if got := stageHist(snap, "journal").Count; got != uint64(len(res.Verdicts)) {
+		t.Errorf("journal appends timed = %d, want %d", got, len(res.Verdicts))
+	}
+}
+
+// stageHist returns the ratte_stage_latency_ns histogram of one stage
+// from a registry snapshot (the zero value when the series is absent).
+func stageHist(snap map[string]any, stage string) telemetry.HistogramJSON {
+	h, _ := snap[`ratte_stage_latency_ns{stage="`+stage+`"}`].(telemetry.HistogramJSON)
+	return h
+}
+
+// TestTelemetrySlowestSeedsExcludeJournal pins that the slowest-seeds
+// totals hold stage time only: journal appends belong to no seed, so
+// in a campaign whose seeds include -1 the totals still sum exactly to
+// the pipeline stages' latency sums.
+func TestTelemetrySlowestSeedsExcludeJournal(t *testing.T) {
+	cfg := telemetryTestConfig()
+	cfg.Faults = nil
+	cfg.Seed, cfg.Programs = -3, 3
+	tel := difftest.NewCampaignTelemetry(nil)
+	cfg.Telemetry = tel
+	j, err := difftest.CreateJournal(filepath.Join(t.TempDir(), "campaign.jsonl"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Journal = j
+	if _, err := difftest.RunCampaignParallel(cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := tel.Registry.Snapshot()
+	if stageHist(snap, "journal").Count == 0 {
+		t.Fatal("no journal appends timed")
+	}
+	var stages uint64
+	for _, stage := range []string{"generate", "reference", "verify", "compile", "interpret", "compare"} {
+		stages += stageHist(snap, stage).SumNs
+	}
+	slow := tel.Spans.SlowestSeeds()
+	if len(slow) != cfg.Programs {
+		t.Fatalf("slowest seeds = %+v, want all %d seeds", slow, cfg.Programs)
+	}
+	var seeds uint64
+	for _, sc := range slow {
+		seeds += uint64(sc.Total)
+	}
+	if seeds != stages {
+		t.Errorf("slowest-seeds totals sum to %d ns, stage latencies to %d ns", seeds, stages)
+	}
+}
+
+// TestTelemetryFamilyReferenceStage checks family mode's reference
+// stage is exported like every other stage: one observation per member
+// reference run.
+func TestTelemetryFamilyReferenceStage(t *testing.T) {
+	cfg := difftest.CampaignConfig{
+		Preset: "ariths", Programs: 12, Size: 16, Seed: 97,
+		FamilySize: 4, Batched: true,
+	}
+	tel := difftest.NewCampaignTelemetry(nil)
+	cfg.Telemetry = tel
+	res, err := difftest.RunCampaignParallel(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every member runs its reference unless its family failed before
+	// the reference stage.
+	want := 0
+	for _, v := range res.Verdicts {
+		if v.Failure == nil || v.Failure.Stage != difftest.StageGenerate {
+			want++
 		}
 	}
-	if !found {
-		t.Error("no journal spans recorded")
+	if want == 0 {
+		t.Fatal("no member reached the reference stage")
+	}
+	line := fmt.Sprintf(`ratte_stage_latency_ns_count{stage="reference"} %d`, want)
+	if text := tel.Registry.PrometheusText(); !strings.Contains(text, line+"\n") {
+		t.Errorf("metrics export lacks %q", line)
+	}
+	if !strings.Contains(tel.ReportSection(), "  reference ") {
+		t.Errorf("report section has no reference row:\n%s", tel.ReportSection())
 	}
 }
 

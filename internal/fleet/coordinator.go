@@ -209,7 +209,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, errors.New("fleet: StopAtFirst is not supported in fleet mode")
 	}
 	// Stage telemetry is a worker-side concern: the coordinator never
-	// runs pipeline stages, and the merge feeds no span recorder.
+	// runs pipeline stages, and the merge feeds no stage histogram.
 	camp.Telemetry = nil
 	// Coverage moves off the config copy: the coordinator folds verdict
 	// summaries into it at splice time, so leaving it on the config
@@ -526,36 +526,14 @@ func (c *Coordinator) registerMetrics() {
 			defer c.mu.Unlock()
 			return c.dupDet
 		})
-	counts := func(st shardState) int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		var n int64
-		for _, s := range c.shards {
-			if s.state == st {
-				n++
-			}
-		}
-		return n
-	}
 	c.reg.GaugeFunc("ratte_fleet_shards_pending", "shards awaiting a lease",
-		func() int64 { return counts(shardPending) })
+		func() int64 { return int64(c.status().ShardsPending) })
 	c.reg.GaugeFunc("ratte_fleet_shards_leased", "shards currently leased to workers",
-		func() int64 { return counts(shardLeased) })
+		func() int64 { return int64(c.status().ShardsLeased) })
 	c.reg.GaugeFunc("ratte_fleet_shards_done", "shards completed (merged or awaiting merge)",
-		func() int64 { return counts(shardDone) })
+		func() int64 { return int64(c.status().ShardsDone) })
 	c.reg.GaugeFunc("ratte_fleet_workers_live", "workers seen within two lease TTLs",
-		func() int64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			cutoff := time.Now().Add(-2 * c.leaseTTL)
-			var n int64
-			for _, w := range c.workers {
-				if w.lastSeen.After(cutoff) {
-					n++
-				}
-			}
-			return n
-		})
+		func() int64 { return int64(c.status().LiveWorkers()) })
 	c.reg.GaugeFunc("ratte_fleet_workers_registered", "workers ever registered",
 		func() int64 {
 			c.mu.Lock()
@@ -742,34 +720,9 @@ func (c *Coordinator) closeLedger() {
 // ProgressLine renders a one-line fleet status for the -progress
 // ticker: merged seeds, shard queue states, live workers, throughput.
 func (c *Coordinator) ProgressLine() string {
-	c.mu.Lock()
-	var pending, leased, doneShards int
-	for _, s := range c.shards {
-		switch s.state {
-		case shardPending:
-			pending++
-		case shardLeased:
-			leased++
-		case shardDone:
-			doneShards++
-		}
-	}
-	mergedSeeds := len(c.merged)
-	cutoff := time.Now().Add(-2 * c.leaseTTL)
-	var live int
-	for _, w := range c.workers {
-		if w.lastSeen.After(cutoff) {
-			live++
-		}
-	}
-	c.mu.Unlock()
-	elapsed := time.Since(c.start).Seconds()
-	rate := 0.0
-	if elapsed > 0 {
-		rate = float64(mergedSeeds) / elapsed
-	}
+	st := c.status()
 	return fmt.Sprintf("fleet: %d/%d merged | shards %d done %d leased %d pending | %d workers | %.1f/sec",
-		mergedSeeds, c.camp.Programs, doneShards, leased, pending, live, rate)
+		st.Merged, st.Programs, st.ShardsDone, st.ShardsLeased, st.ShardsPending, st.LiveWorkers(), st.RatePerSec)
 }
 
 // handleRegister admits a worker — or rejects it with 409 when its

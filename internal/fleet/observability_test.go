@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -276,6 +277,53 @@ func TestFleetStatusWithoutCoverage(t *testing.T) {
 	}
 	if st.Merged != cfg.Programs {
 		t.Errorf("/status merged = %d, want %d", st.Merged, cfg.Programs)
+	}
+	coord.DrainWorkers(5 * time.Second)
+	wg.Wait()
+}
+
+// TestCoordinatorProgressLine checks the -progress line and the shard
+// and worker gauges after a completed campaign: every seed merged,
+// every shard done, the one worker live.
+func TestCoordinatorProgressLine(t *testing.T) {
+	cfg := difftest.CampaignConfig{Preset: "ariths", Programs: 12, Size: 14, Seed: 97}
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{Campaign: cfg, ShardSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		fleet.RunWorker(context.Background(), fleet.WorkerConfig{ //nolint:errcheck // drained below
+			Coordinator: "http://" + coord.Addr(), Campaign: cfg, Workers: 1,
+		})
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	line := coord.ProgressLine()
+	want := regexp.MustCompile(`^fleet: 12/12 merged \| shards 3 done 0 leased 0 pending \| 1 workers \| [0-9]+\.[0-9]/sec$`)
+	if !want.MatchString(line) {
+		t.Errorf("progress line = %q, want match for %s", line, want)
+	}
+	snap := coord.Registry().Snapshot()
+	for series, n := range map[string]int64{
+		"ratte_fleet_shards_done":    3,
+		"ratte_fleet_shards_leased":  0,
+		"ratte_fleet_shards_pending": 0,
+		"ratte_fleet_workers_live":   1,
+	} {
+		if snap[series] != n {
+			t.Errorf("%s = %v, want %d", series, snap[series], n)
+		}
 	}
 	coord.DrainWorkers(5 * time.Second)
 	wg.Wait()

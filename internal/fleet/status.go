@@ -56,6 +56,17 @@ type WorkerStatus struct {
 	SpoolDepth int `json:"spool_depth"`
 }
 
+// LiveWorkers counts the workers seen within two lease TTLs.
+func (s Status) LiveWorkers() int {
+	n := 0
+	for _, w := range s.Workers {
+		if w.Live {
+			n++
+		}
+	}
+	return n
+}
+
 // status assembles the document under c.mu.
 func (c *Coordinator) status() Status {
 	c.mu.Lock()

@@ -17,14 +17,6 @@ type Attribute interface {
 	isAttribute()
 }
 
-// AttrEqual reports whether two attributes are structurally identical.
-func AttrEqual(a, b Attribute) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return a.String() == b.String()
-}
-
 // IntegerAttr is a typed integer constant, e.g. `-1 : i1` or `9 : index`.
 // Value stores the two's-complement bit pattern sign-extended to 64 bits.
 type IntegerAttr struct {
@@ -271,18 +263,6 @@ func (a *Attrs) Len() int {
 		return 0
 	}
 	return len(a.keys)
-}
-
-// Each calls f for every attribute in insertion order. Unlike Keys it
-// does not copy — the iteration the hot paths (printing, fingerprinting)
-// use.
-func (a *Attrs) Each(f func(key string, val Attribute)) {
-	if a == nil {
-		return
-	}
-	for i, k := range a.keys {
-		f(k, a.vals[i])
-	}
 }
 
 // Keys returns the attribute names in insertion order.

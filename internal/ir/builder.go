@@ -19,9 +19,6 @@ func NewBuilder(block *Block, firstID int) *Builder {
 	return &Builder{next: firstID, block: block}
 }
 
-// SetInsertionBlock redirects subsequent insertions to block.
-func (b *Builder) SetInsertionBlock(block *Block) { b.block = block }
-
 // NextID returns the next fresh SSA id without consuming it.
 func (b *Builder) NextID() int { return b.next }
 

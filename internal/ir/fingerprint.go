@@ -64,7 +64,7 @@ func hashOp(h uint64, op *Operation) uint64 {
 	}
 	if op.Attrs != nil {
 		h = hashUint64(h, uint64(op.Attrs.Len()))
-		// Direct field iteration: an Each-style closure would make h
+		// Direct field iteration: a callback iterator would make h
 		// escape and cost one allocation per op.
 		for i, k := range op.Attrs.keys {
 			h = hashString(h, k)

@@ -53,24 +53,6 @@ func (o *Operation) Dialect() string {
 	return o.Name
 }
 
-// ResultTypes returns the types of the operation's results.
-func (o *Operation) ResultTypes() []Type {
-	ts := make([]Type, len(o.Results))
-	for i, r := range o.Results {
-		ts[i] = r.Type
-	}
-	return ts
-}
-
-// OperandTypes returns the types of the operation's operands.
-func (o *Operation) OperandTypes() []Type {
-	ts := make([]Type, len(o.Operands))
-	for i, r := range o.Operands {
-		ts[i] = r.Type
-	}
-	return ts
-}
-
 // Clone returns a deep copy of the operation. Child slices are
 // allocated at exact capacity up front: Clone is the compile hot
 // path's dominant allocator, and append-from-nil growth would roughly

@@ -109,9 +109,6 @@ func (x Int) Type() ir.Type {
 // Defined reports whether the value is well-defined.
 func (x Int) Defined() bool { return !x.undef }
 
-// Bits returns the raw zero-extended bit pattern.
-func (x Int) Bits() uint64 { return x.bits }
-
 // Signed returns the value interpreted as a signed two's-complement
 // integer (sign-extended to 64 bits).
 func (x Int) Signed() int64 {

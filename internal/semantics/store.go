@@ -222,14 +222,6 @@ func (s *Store) ScalarsOfType(t ir.Type) []Candidate {
 	})
 }
 
-// Tensors returns the visible tensor values.
-func (s *Store) Tensors() []Candidate {
-	return s.Candidates(func(v ir.Value, rt rtval.Value) bool {
-		_, ok := rt.(*rtval.Tensor)
-		return ok
-	})
-}
-
 // Output returns everything printed by evaluated vector.print ops: the
 // expected output of the generated program (the generation-time oracle).
 func (s *Store) Output() string { return s.ctx.Output() }

@@ -89,9 +89,6 @@ func writePromMetric(w io.Writer, m *metric) error {
 	case kindCounter:
 		_, err := fmt.Fprintf(w, "%s %d\n", series(m.name, m.labels, ""), m.c.Value())
 		return err
-	case kindGauge:
-		_, err := fmt.Fprintf(w, "%s %d\n", series(m.name, m.labels, ""), m.g.Value())
-		return err
 	case kindGaugeFunc:
 		_, err := fmt.Fprintf(w, "%s %d\n", series(m.name, m.labels, ""), m.gf())
 		return err
@@ -142,8 +139,6 @@ func (r *Registry) Snapshot() map[string]any {
 		switch m.kind {
 		case kindCounter:
 			out[key] = m.c.Value()
-		case kindGauge:
-			out[key] = m.g.Value()
 		case kindGaugeFunc:
 			out[key] = m.gf()
 		case kindHistogram:

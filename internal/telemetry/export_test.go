@@ -12,7 +12,7 @@ import (
 func buildTestRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("ratte_hits_total", "total hits").Add(7)
-	r.Gauge("ratte_depth", "queue depth").Set(-3)
+	r.GaugeFunc("ratte_depth", "queue depth", func() int64 { return -3 })
 	r.GaugeFunc("ratte_cache_size", "entries", func() int64 { return 42 })
 	h := r.Histogram("ratte_latency_ns", "op latency")
 	h.Observe(500)

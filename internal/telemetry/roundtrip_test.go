@@ -146,7 +146,6 @@ func TestRegistryCounters(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("rt_c_total", "c").Add(7)
 	reg.CounterVec("rt_v_total", "kind", "v").Add("x", 3)
-	reg.Gauge("rt_g", "g").Set(9)
 	reg.GaugeFunc("rt_gf", "gf", func() int64 { return 1 })
 	reg.Histogram("rt_h_ns", "h").Observe(5)
 

@@ -1,7 +1,7 @@
 // Package telemetry is the observability substrate of the fuzzing
 // pipeline: a low-overhead, concurrency-safe metrics registry
-// (counters, gauges, fixed-bucket latency histograms), a ring-buffered
-// span recorder for per-stage tracing, and exporters for the
+// (counters, callback gauges, fixed-bucket latency histograms), the
+// slowest-seeds list of a campaign report, and exporters for the
 // Prometheus text format and JSON snapshots, served live over HTTP
 // when a campaign runs with -metrics-addr.
 //
@@ -60,40 +60,11 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can go up and down. The zero value is ready
-// to use; a nil Gauge is a no-op.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Value returns the current value (0 for a nil Gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // metricKind discriminates registry entries at export time.
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -106,7 +77,6 @@ type metric struct {
 	help   string
 	kind   metricKind
 	c      *Counter
-	g      *Gauge
 	gf     func() int64
 	h      *Histogram
 }
@@ -174,37 +144,15 @@ func (r *Registry) CounterWith(name, labels, help string) *Counter {
 	return m.c
 }
 
-// Gauge returns the named gauge, creating it on first use. A nil
-// registry returns nil.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeWith(name, "", help)
-}
-
-// GaugeWith is Gauge with pre-rendered constant labels.
-func (r *Registry) GaugeWith(name, labels, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	m := r.lookup(name, labels, help, func() *metric {
-		return &metric{kind: kindGauge, g: &Gauge{}}
-	})
-	return m.g
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at export
 // time — the zero-hot-path-cost way to expose state a subsystem
 // already tracks (cache sizes, journal bytes). fn must be safe to call
 // from any goroutine. A nil registry ignores the registration.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.GaugeFuncWith(name, "", help, fn)
-}
-
-// GaugeFuncWith is GaugeFunc with pre-rendered constant labels.
-func (r *Registry) GaugeFuncWith(name, labels, help string, fn func() int64) {
 	if r == nil {
 		return
 	}
-	r.lookup(name, labels, help, func() *metric {
+	r.lookup(name, "", help, func() *metric {
 		return &metric{kind: kindGaugeFunc, gf: fn}
 	})
 }
@@ -248,7 +196,7 @@ func (r *Registry) snapshot() []*metric {
 // Counters returns every registered counter's current value keyed by
 // its series name (`name` or `name{labels}`) — the process-portable
 // form a fleet worker attaches to shard uploads so the coordinator
-// can merge deltas by series. Gauges, gauge funcs and histograms are
+// can merge deltas by series. Gauge funcs and histograms are
 // excluded: they describe the process that recorded them, not the
 // campaign's work, and do not sum meaningfully across workers. A nil
 // registry returns nil.

@@ -12,12 +12,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatalf("nil counter value = %d", c.Value())
 	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(-1)
-	if g.Value() != 0 {
-		t.Fatalf("nil gauge value = %d", g.Value())
-	}
 	var h *Histogram
 	h.Observe(100)
 	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
@@ -33,7 +27,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 
 func TestNilRegistryHandsOutNilInstruments(t *testing.T) {
 	var r *Registry
-	if r.Counter("a", "") != nil || r.Gauge("b", "") != nil ||
+	if r.Counter("a", "") != nil ||
 		r.Histogram("c", "") != nil || r.CounterVec("d", "l", "") != nil {
 		t.Fatal("nil registry returned a live instrument")
 	}
@@ -73,11 +67,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c.Value() != 42 {
 		t.Fatalf("counter = %d, want 42", c.Value())
 	}
-	g := r.Gauge("depth", "")
-	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Value())
+	depth := int64(10)
+	r.GaugeFunc("depth", "", func() int64 { return depth })
+	depth -= 3
+	if got := r.Snapshot()["depth"]; got != int64(7) {
+		t.Fatalf("gauge = %v, want 7", got)
 	}
 }
 
