@@ -17,9 +17,7 @@
 package difftest
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -276,12 +274,6 @@ func (t *CampaignTelemetry) ProgressLine() string {
 	return b.String()
 }
 
-// stageRow is one row of the report's latency table.
-type stageRow struct {
-	stage string
-	h     *telemetry.Histogram
-}
-
 // ReportSection renders the telemetry appendix of the final report:
 // the per-stage latency table, read from the ratte_stage_latency_ns
 // histograms and sorted by total time (where the wall-clock went), and
@@ -293,48 +285,10 @@ func (t *CampaignTelemetry) ReportSection() string {
 	if t == nil {
 		return ""
 	}
-	rows := make([]stageRow, 0, len(timedStages)+1)
+	stages := make(map[string]*telemetry.Histogram, len(timedStages)+1)
 	for _, st := range timedStages {
-		rows = append(rows, stageRow{string(st), t.stageLat[st]})
+		stages[string(st)] = t.stageLat[st]
 	}
-	rows = append(rows, stageRow{journalStage, t.journalLat})
-	rows = slices.DeleteFunc(rows, func(r stageRow) bool { return r.h.Count() == 0 })
-	if len(rows) == 0 {
-		return ""
-	}
-	slices.SortFunc(rows, func(a, b stageRow) int {
-		if c := cmp.Compare(b.h.Sum(), a.h.Sum()); c != 0 {
-			return c
-		}
-		return strings.Compare(a.stage, b.stage)
-	})
-	var b strings.Builder
-	b.WriteString("telemetry:\n")
-	b.WriteString("  stage        count      total       mean        p50        p99\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-10s %7d %10s %10s %10s %10s\n",
-			r.stage, r.h.Count(), fmtDur(time.Duration(r.h.Sum())), fmtDur(r.h.Mean()),
-			fmtDur(r.h.Quantile(0.50)), fmtDur(r.h.Quantile(0.99)))
-	}
-	if slow := t.Spans.SlowestSeeds(); len(slow) > 0 {
-		fmt.Fprintf(&b, "  slowest seeds (top %d):\n", len(slow))
-		for _, sc := range slow {
-			fmt.Fprintf(&b, "    seed %-12d %10s  %s\n", sc.Seed, fmtDur(sc.Total), sc.Outcome)
-		}
-	}
-	return b.String()
-}
-
-// fmtDur renders a duration compactly with millisecond/microsecond
-// granularity appropriate to its size.
-func fmtDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-	case d >= time.Microsecond:
-		return fmt.Sprintf("%.1fµs", float64(d)/float64(time.Microsecond))
-	}
-	return fmt.Sprintf("%dns", d.Nanoseconds())
+	stages[journalStage] = t.journalLat
+	return telemetry.ReportSection(telemetry.StageStats(stages), t.Spans.SlowestSeeds())
 }
