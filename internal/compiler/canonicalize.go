@@ -446,46 +446,8 @@ func (c *canonicalizer) visitAdduiExtended(op *ir.Operation, consts constMap, ou
 // dce removes pure operations none of whose results are used, in every
 // block of the function including nested regions.
 func (c *canonicalizer) dce(f *ir.Operation) {
-	for {
-		removed := false
-		uses := usedIDsOfFunc(f)
-		_ = forEachBlock(f, func(b *ir.Block) error {
-			var kept []*ir.Operation
-			for _, op := range b.Ops {
-				if isPure(op) && !anyResultUsed(op, uses) {
-					c.opts.cover(covCanonDCE, op.Name)
-					removed = true
-					c.changed = true
-					continue
-				}
-				kept = append(kept, op)
-			}
-			b.Ops = kept
-			return nil
-		})
-		if !removed {
-			break
-		}
-	}
-}
-
-func usedIDsOfFunc(f *ir.Operation) map[string]int {
-	uses := make(map[string]int)
-	for _, r := range f.Regions {
-		for _, b := range r.Blocks {
-			for id, n := range usedIDs(b.Ops) {
-				uses[id] += n
-			}
-		}
-	}
-	return uses
-}
-
-func anyResultUsed(op *ir.Operation, uses map[string]int) bool {
-	for _, r := range op.Results {
-		if uses[r.ID] > 0 {
-			return true
-		}
-	}
-	return false
+	removeDeadOps(f, func(op *ir.Operation) {
+		c.opts.cover(covCanonDCE, op.Name)
+		c.changed = true
+	})
 }

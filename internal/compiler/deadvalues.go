@@ -20,7 +20,7 @@ func runRemoveDeadValues(m *ir.Module, opts *Options) error {
 		// dead result and aborts the pass. SSA ids are only unique per
 		// function, so liveness is computed function-locally.
 		for _, f := range funcsOf(m) {
-			uses := usedIDsOfFunc(f)
+			uses := useCounts(f)
 			var rejection error
 			f.Walk(func(op *ir.Operation) bool {
 				if op.Name != "func.call" {
@@ -42,26 +42,7 @@ func runRemoveDeadValues(m *ir.Module, opts *Options) error {
 
 	// Correct behaviour: per-function DCE of pure ops.
 	for _, f := range funcsOf(m) {
-		for {
-			removed := false
-			uses := usedIDsOfFunc(f)
-			_ = forEachBlock(f, func(b *ir.Block) error {
-				var kept []*ir.Operation
-				for _, op := range b.Ops {
-					if isPure(op) && !anyResultUsed(op, uses) {
-						opts.cover(covDeadRemove, op.Name)
-						removed = true
-						continue
-					}
-					kept = append(kept, op)
-				}
-				b.Ops = kept
-				return nil
-			})
-			if !removed {
-				break
-			}
-		}
+		removeDeadOps(f, func(op *ir.Operation) { opts.cover(covDeadRemove, op.Name) })
 	}
 
 	// Drop functions never referenced by a call and not plausibly an

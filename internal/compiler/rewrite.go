@@ -9,21 +9,31 @@ import (
 )
 
 // namer hands out SSA value IDs that are fresh within one function.
+// Fresh only ever proposes canonical "v<N>" ids (N in decimal, no
+// leading zero) in increasing N, so it records only the function's
+// canonical ids: a bitset for N below namerBits, and a map, made only
+// when needed, for the rare larger ones. An id Fresh has returned is
+// never proposed again, so it needs no record.
 type namer struct {
-	used map[string]bool
+	bits []uint64
+	big  map[string]bool
 	n    int
 }
 
+// namerBits bounds the bitset: a "v<N>" id with N at or above it goes
+// to the namer's map instead, so a huge N cannot grow the bitset.
+const namerBits = 1 << 16
+
 func newNamer(f *ir.Operation) *namer {
-	nm := &namer{used: make(map[string]bool)}
+	nm := &namer{}
 	f.Walk(func(op *ir.Operation) bool {
 		for _, r := range op.Results {
-			nm.used[r.ID] = true
+			nm.record(r.ID)
 		}
 		for _, reg := range op.Regions {
 			for _, b := range reg.Blocks {
 				for _, a := range b.Args {
-					nm.used[a.ID] = true
+					nm.record(a.ID)
 				}
 			}
 		}
@@ -32,16 +42,52 @@ func newNamer(f *ir.Operation) *namer {
 	return nm
 }
 
-// Fresh returns an unused SSA id.
-func (nm *namer) Fresh() string {
-	for {
-		id := "v" + strconv.Itoa(nm.n)
-		nm.n++
-		if !nm.used[id] {
-			nm.used[id] = true
-			return id
+// record marks id as used if it is one Fresh could propose.
+func (nm *namer) record(id string) {
+	if len(id) < 2 || id[0] != 'v' || (id[1] == '0' && len(id) > 2) {
+		return
+	}
+	n := 0
+	for i := 1; i < len(id); i++ {
+		d := id[i] - '0'
+		if d > 9 {
+			return
+		}
+		if n < namerBits {
+			n = n*10 + int(d)
 		}
 	}
+	if n >= namerBits {
+		if nm.big == nil {
+			nm.big = make(map[string]bool)
+		}
+		nm.big[id] = true
+		return
+	}
+	w := n >> 6
+	if w >= len(nm.bits) {
+		nm.bits = append(nm.bits, make([]uint64, w+1-len(nm.bits))...)
+	}
+	nm.bits[w] |= 1 << (n & 63)
+}
+
+// taken reports whether the canonical id "v<n>" is used.
+func (nm *namer) taken(n int) bool {
+	if n >= namerBits {
+		return nm.big != nil && nm.big["v"+strconv.Itoa(n)]
+	}
+	w := n >> 6
+	return w < len(nm.bits) && nm.bits[w]&(1<<(n&63)) != 0
+}
+
+// Fresh returns an unused SSA id.
+func (nm *namer) Fresh() string {
+	for nm.taken(nm.n) {
+		nm.n++
+	}
+	id := "v" + strconv.Itoa(nm.n)
+	nm.n++
+	return id
 }
 
 // Value allocates a fresh value of the given type.
@@ -225,30 +271,72 @@ func opKey(op *ir.Operation) string {
 	return b.String()
 }
 
-// usedIDs collects every value ID used (as operand or successor arg)
-// anywhere below the given ops, including nested regions.
-func usedIDs(ops []*ir.Operation) map[string]int {
+// useCounts counts every use of each value ID (as operand or successor
+// argument) anywhere below f, including nested regions.
+func useCounts(f *ir.Operation) map[string]int {
 	uses := make(map[string]int)
-	var walk func(ops []*ir.Operation)
-	walk = func(ops []*ir.Operation) {
-		for _, op := range ops {
-			for _, o := range op.Operands {
-				uses[o.ID]++
-			}
-			for _, s := range op.Successors {
-				for _, a := range s.Args {
-					uses[a.ID]++
-				}
-			}
-			for _, r := range op.Regions {
-				for _, b := range r.Blocks {
-					walk(b.Ops)
-				}
+	for _, r := range f.Regions {
+		for _, b := range r.Blocks {
+			for _, op := range b.Ops {
+				op.Walk(func(op *ir.Operation) bool {
+					for _, o := range op.Operands {
+						uses[o.ID]++
+					}
+					for _, s := range op.Successors {
+						for _, a := range s.Args {
+							uses[a.ID]++
+						}
+					}
+					return true
+				})
 			}
 		}
 	}
-	walk(ops)
 	return uses
+}
+
+func anyResultUsed(op *ir.Operation, uses map[string]int) bool {
+	for _, r := range op.Results {
+		if uses[r.ID] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// removeDeadOps removes the pure operations of f none of whose results
+// is used, sweeping every block (nested regions included) until a
+// sweep removes nothing, and calls removed once per op it drops. Uses
+// are counted once; dropping an op decrements its operands' counts, so
+// an op whose last user goes is dropped later in the same sweep or in
+// the next. Dropping only lowers counts, so the ops removed are the
+// same whatever the sweep order.
+func removeDeadOps(f *ir.Operation, removed func(*ir.Operation)) {
+	uses := useCounts(f)
+	for {
+		any := false
+		_ = forEachBlock(f, func(b *ir.Block) error {
+			kept := b.Ops[:0]
+			for _, op := range b.Ops {
+				if isPure(op) && !anyResultUsed(op, uses) {
+					for _, o := range op.Operands {
+						uses[o.ID]--
+					}
+					removed(op)
+					any = true
+					continue
+				}
+				kept = append(kept, op)
+			}
+			if len(kept) < len(b.Ops) {
+				b.Ops = kept[:len(kept):len(kept)]
+			}
+			return nil
+		})
+		if !any {
+			return
+		}
+	}
 }
 
 // intAttrOf builds the IntegerAttr for a value of the given scalar type.

@@ -45,13 +45,12 @@ func runArithToLLVM(m *ir.Module, opts *Options) error {
 	for _, f := range funcsOf(m) {
 		nm := newNamer(f)
 		err := forEachBlock(f, func(b *ir.Block) error {
-			var out []*ir.Operation
+			out := make([]*ir.Operation, 0, len(b.Ops))
 			for _, op := range b.Ops {
-				ops, err := convertArithOp(nm, op, opts)
-				if err != nil {
+				var err error
+				if out, err = convertArithOp(nm, op, opts, out); err != nil {
 					return err
 				}
-				out = append(out, ops...)
 			}
 			b.Ops = out
 			return nil
@@ -63,27 +62,29 @@ func runArithToLLVM(m *ir.Module, opts *Options) error {
 	return nil
 }
 
-func convertArithOp(nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation, error) {
+// convertArithOp appends op's conversion to out. The pass owns the
+// module, so one-to-one conversions and constants are renamed in place;
+// ops of other dialects pass through unchanged.
+func convertArithOp(nm *namer, op *ir.Operation, opts *Options, out []*ir.Operation) ([]*ir.Operation, error) {
 	if target, ok := arithToLLVM[op.Name]; ok {
 		opts.cover(covToLLVM, op.Name)
-		c := op.Clone()
-		c.Name = target
-		c.Attrs.Delete("ratte.canonicalized")
-		return []*ir.Operation{c}, nil
+		op.Name = target
+		op.Attrs.Delete("ratte.canonicalized")
+		return append(out, op), nil
 	}
+	e := &llvmEmitter{nm: nm, ops: out}
 	switch op.Name {
 	case "arith.constant":
 		if _, ok := op.Attrs.Get("value").(ir.IntegerAttr); !ok {
 			return nil, fmt.Errorf("non-scalar constant survived to convert-arith-to-llvm")
 		}
 		opts.cover(covToLLVM, op.Name)
-		c := op.Clone()
-		c.Name = "llvm.mlir.constant"
-		return []*ir.Operation{c}, nil
+		op.Name = "llvm.mlir.constant"
+		return append(out, op), nil
 
 	case "arith.maxsi", "arith.maxui", "arith.minsi", "arith.minui":
 		opts.cover(covToLLVM, op.Name)
-		return convertMinMax(nm, op), nil
+		convertMinMax(e, op)
 
 	case "arith.addui_extended":
 		if opts.Bugs.Enabled(bugs.AdduiExtendedLegalize) && ir.TypeEqual(op.Results[0].Type, ir.I1) {
@@ -93,29 +94,32 @@ func convertArithOp(nm *namer, op *ir.Operation, opts *Options) ([]*ir.Operation
 			return nil, fmt.Errorf("failed to legalize operation 'arith.addui_extended'")
 		}
 		opts.cover(covToLLVM, op.Name)
-		return convertAdduiExtended(nm, op), nil
+		convertAdduiExtended(e, op)
 
 	case "arith.mulsi_extended":
 		opts.cover(covToLLVM, op.Name)
-		return convertMulExtended(nm, op, "llvm.smulh"), nil
+		convertMulExtended(e, op, "llvm.smulh")
 	case "arith.mului_extended":
 		opts.cover(covToLLVM, op.Name)
-		return convertMulExtended(nm, op, "llvm.umulh"), nil
+		convertMulExtended(e, op, "llvm.umulh")
 
 	case "arith.ceildivsi":
 		opts.cover(covToLLVM, op.Name)
-		return convertCeilDivSi(nm, op, opts), nil
+		convertCeilDivSi(e, op, opts)
 	case "arith.floordivsi":
 		opts.cover(covToLLVM, op.Name)
-		return convertFloorDivSi(nm, op), nil
+		convertFloorDivSi(e, op)
 	case "arith.ceildivui":
 		opts.cover(covToLLVM, op.Name)
-		return convertCeilDivUi(nm, op), nil
+		convertCeilDivUi(e, op)
+
+	default:
+		if op.Dialect() == "arith" {
+			return nil, fmt.Errorf("no conversion for %s", op.Name)
+		}
+		return append(out, op), nil
 	}
-	if op.Dialect() == "arith" {
-		return nil, fmt.Errorf("no conversion for %s", op.Name)
-	}
-	return []*ir.Operation{op}, nil
+	return e.ops, nil
 }
 
 type llvmEmitter struct {
@@ -157,8 +161,7 @@ func (e *llvmEmitter) aliasResult(orig ir.Value, val ir.Value) {
 	e.ops = append(e.ops, op)
 }
 
-func convertMinMax(nm *namer, op *ir.Operation) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertMinMax(e *llvmEmitter, op *ir.Operation) {
 	var pred rtval.CmpPredicate
 	switch op.Name {
 	case "arith.maxsi":
@@ -176,11 +179,9 @@ func convertMinMax(nm *namer, op *ir.Operation) []*ir.Operation {
 	sel.Operands = []ir.Value{c, a, b}
 	sel.Results = []ir.Value{op.Results[0]}
 	e.ops = append(e.ops, sel)
-	return e.ops
 }
 
-func convertAdduiExtended(nm *namer, op *ir.Operation) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertAdduiExtended(e *llvmEmitter, op *ir.Operation) {
 	a, b := op.Operands[0], op.Operands[1]
 	t := op.Results[0].Type
 	sum := e.op1("llvm.add", t, a, b)
@@ -191,11 +192,9 @@ func convertAdduiExtended(nm *namer, op *ir.Operation) []*ir.Operation {
 	ov.Attrs.Set("predicate", ir.IntAttr(int64(rtval.CmpULT), ir.I64))
 	ov.Results = []ir.Value{op.Results[1]}
 	e.ops = append(e.ops, ov)
-	return e.ops
 }
 
-func convertMulExtended(nm *namer, op *ir.Operation, highOp string) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertMulExtended(e *llvmEmitter, op *ir.Operation, highOp string) {
 	a, b := op.Operands[0], op.Operands[1]
 	lo := ir.NewOp("llvm.mul")
 	lo.Operands = []ir.Value{a, b}
@@ -204,7 +203,6 @@ func convertMulExtended(nm *namer, op *ir.Operation, highOp string) []*ir.Operat
 	hi.Operands = []ir.Value{a, b}
 	hi.Results = []ir.Value{op.Results[1]}
 	e.ops = append(e.ops, lo, hi)
-	return e.ops
 }
 
 // convertCeilDivSi directly converts arith.ceildivsi (used when
@@ -212,8 +210,7 @@ func convertMulExtended(nm *namer, op *ir.Operation, highOp string) []*ir.Operat
 //
 // Correct: the quotient/remainder adjustment.
 // Bug 6 (issue 89382): the positive-operand-only (a + b - 1) / b.
-func convertCeilDivSi(nm *namer, op *ir.Operation, opts *Options) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertCeilDivSi(e *llvmEmitter, op *ir.Operation, opts *Options) {
 	a, b := op.Operands[0], op.Operands[1]
 	t := op.Results[0].Type
 
@@ -223,7 +220,7 @@ func convertCeilDivSi(nm *namer, op *ir.Operation, opts *Options) []*ir.Operatio
 		apbm1 := e.op1("llvm.sub", t, apb, one)
 		q := e.op1("llvm.sdiv", t, apbm1, b)
 		e.aliasResult(op.Results[0], q)
-		return e.ops
+		return
 	}
 
 	zero := e.constant(0, t)
@@ -238,13 +235,11 @@ func convertCeilDivSi(nm *namer, op *ir.Operation, opts *Options) []*ir.Operatio
 	qp1 := e.op1("llvm.add", t, q, one)
 	res := e.op1("llvm.select", t, adjust, qp1, q)
 	e.aliasResult(op.Results[0], res)
-	return e.ops
 }
 
 // convertFloorDivSi directly converts arith.floordivsi with the correct
 // quotient/remainder adjustment.
-func convertFloorDivSi(nm *namer, op *ir.Operation) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertFloorDivSi(e *llvmEmitter, op *ir.Operation) {
 	a, b := op.Operands[0], op.Operands[1]
 	t := op.Results[0].Type
 	zero := e.constant(0, t)
@@ -259,12 +254,10 @@ func convertFloorDivSi(nm *namer, op *ir.Operation) []*ir.Operation {
 	qm1 := e.op1("llvm.sub", t, q, one)
 	res := e.op1("llvm.select", t, adjust, qm1, q)
 	e.aliasResult(op.Results[0], res)
-	return e.ops
 }
 
 // convertCeilDivUi directly converts arith.ceildivui.
-func convertCeilDivUi(nm *namer, op *ir.Operation) []*ir.Operation {
-	e := &llvmEmitter{nm: nm}
+func convertCeilDivUi(e *llvmEmitter, op *ir.Operation) {
 	a, b := op.Operands[0], op.Operands[1]
 	t := op.Results[0].Type
 	zero := e.constant(0, t)
@@ -275,7 +268,6 @@ func convertCeilDivUi(nm *namer, op *ir.Operation) []*ir.Operation {
 	isZero := e.icmp(rtval.CmpEQ, a, zero)
 	res := e.op1("llvm.select", t, isZero, zero, qp1)
 	e.aliasResult(op.Results[0], res)
-	return e.ops
 }
 
 // runFuncToLLVM converts the func dialect to llvm function ops.

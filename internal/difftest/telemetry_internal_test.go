@@ -25,7 +25,7 @@ func TestTelemetryReportSection(t *testing.T) {
 	want := []string{
 		"telemetry:",
 		"  stage        count      total       mean        p50        p99",
-		"  compile          2    40.00ms    20.00ms    16.78ms    16.78ms",
+		"  compile          2    40.00ms    20.00ms    16.78ms    33.55ms",
 		"  interpret        1     5.00ms     5.00ms     8.39ms     8.39ms",
 		"  journal          1     1.00ms     1.00ms     1.05ms     1.05ms",
 		"  slowest seeds (top 1):",

@@ -196,9 +196,9 @@ func (AffineMapAttr) isAttribute() {}
 //
 // The representation is a pair of parallel slices, not a map: real
 // operations carry a handful of attributes at most, linear scans beat
-// map hashing at that size, and — decisively for the compile hot path,
-// where module cloning is the dominant allocator — Clone becomes two
-// slice copies instead of a map allocation per operation.
+// map hashing at that size, and Operation.Clone can carve every
+// dictionary of a module clone from two shared slabs of keys and
+// values instead of allocating a map per operation.
 type Attrs struct {
 	keys []string
 	vals []Attribute
@@ -274,10 +274,9 @@ func (a *Attrs) Keys() []string {
 }
 
 // Clone returns a deep copy of the dictionary (attribute values are
-// immutable and shared): two exact-size slice copies, nothing more.
-// Clone dominates the compile hot path — every branch of a shared
-// prefix tree starts from a cloned module — which is the reason Attrs
-// is slice-backed in the first place.
+// immutable and shared): two exact-size slice copies. It serves passes
+// that copy one op's attributes onto a new op; Operation.Clone does not
+// call it, carving its dictionaries from the clone's slabs instead.
 func (a *Attrs) Clone() *Attrs {
 	if a == nil || len(a.keys) == 0 {
 		return NewAttrs()

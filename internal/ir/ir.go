@@ -53,30 +53,138 @@ func (o *Operation) Dialect() string {
 	return o.Name
 }
 
-// Clone returns a deep copy of the operation. Child slices are
-// allocated at exact capacity up front: Clone is the compile hot
-// path's dominant allocator, and append-from-nil growth would roughly
-// double its allocation count.
+// Clone returns a deep copy of the operation and everything nested in
+// it. It first counts the subtree, then carves the copy from a few
+// exact-size slabs (one each for operations, attribute dictionaries,
+// attribute keys and values, Values, regions, blocks, successors and
+// the three pointer-slice kinds), so a clone costs about a dozen
+// allocations whatever its size. Every carved slice has cap == len: an
+// append to one reallocates instead of overwriting its slab neighbour.
+// Clone only reads o, so concurrent clones of one module are safe.
 func (o *Operation) Clone() *Operation {
-	c := &Operation{
-		Name:     o.Name,
-		Operands: append([]Value(nil), o.Operands...),
-		Results:  append([]Value(nil), o.Results...),
-		Attrs:    o.Attrs.Clone(),
+	var n cloneSizes
+	n.count(o)
+	s := cloneSlabs{
+		ops:        make([]Operation, n.ops),
+		attrs:      make([]Attrs, n.ops),
+		keys:       make([]string, n.attrs),
+		vals:       make([]Attribute, n.attrs),
+		values:     make([]Value, n.values),
+		regions:    make([]Region, n.regions),
+		blocks:     make([]Block, n.blocks),
+		succs:      make([]Successor, n.succs),
+		regionPtrs: make([]*Region, n.regions),
+		blockPtrs:  make([]*Block, n.blocks),
+		opPtrs:     make([]*Operation, n.ops-1),
 	}
+	return s.op(o)
+}
+
+// cloneSizes counts what one Clone carves: every nested operation
+// (each with its own attribute dictionary), attribute entry, Value
+// (operands, results, block arguments and successor arguments),
+// region, block and successor.
+type cloneSizes struct {
+	ops, attrs, values, regions, blocks, succs int
+}
+
+func (n *cloneSizes) count(o *Operation) {
+	n.ops++
+	n.attrs += o.Attrs.Len()
+	n.values += len(o.Operands) + len(o.Results)
+	n.regions += len(o.Regions)
+	n.succs += len(o.Successors)
+	for _, s := range o.Successors {
+		n.values += len(s.Args)
+	}
+	for _, r := range o.Regions {
+		n.blocks += len(r.Blocks)
+		for _, b := range r.Blocks {
+			n.values += len(b.Args)
+			for _, op := range b.Ops {
+				n.count(op)
+			}
+		}
+	}
+}
+
+// cloneSlabs are the backing arrays of one Clone, consumed front to
+// back as the copy is built.
+type cloneSlabs struct {
+	ops        []Operation
+	attrs      []Attrs
+	keys       []string
+	vals       []Attribute
+	values     []Value
+	regions    []Region
+	blocks     []Block
+	succs      []Successor
+	regionPtrs []*Region
+	blockPtrs  []*Block
+	opPtrs     []*Operation
+}
+
+// carve copies src into the front of *slab and returns the copy with
+// cap == len; an empty src yields nil, as a fresh append would.
+func carve[T any](slab *[]T, src []T) []T {
+	n := len(src)
+	if n == 0 {
+		return nil
+	}
+	c := (*slab)[:n:n]
+	copy(c, src)
+	*slab = (*slab)[n:]
+	return c
+}
+
+// take returns the first n elements of *slab with cap == len.
+func take[T any](slab *[]T, n int) []T {
+	c := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return c
+}
+
+func (s *cloneSlabs) op(o *Operation) *Operation {
+	c := &take(&s.ops, 1)[0]
+	a := &take(&s.attrs, 1)[0]
+	if o.Attrs != nil {
+		a.keys = carve(&s.keys, o.Attrs.keys)
+		a.vals = carve(&s.vals, o.Attrs.vals)
+	}
+	c.Name = o.Name
+	c.Operands = carve(&s.values, o.Operands)
+	c.Results = carve(&s.values, o.Results)
+	c.Attrs = a
 	if len(o.Regions) > 0 {
-		c.Regions = make([]*Region, len(o.Regions))
+		c.Regions = take(&s.regionPtrs, len(o.Regions))
 		for i, r := range o.Regions {
-			c.Regions[i] = r.Clone()
+			c.Regions[i] = s.region(r)
 		}
 	}
 	if len(o.Successors) > 0 {
-		c.Successors = make([]Successor, len(o.Successors))
-		for i, s := range o.Successors {
-			c.Successors[i] = Successor{
-				Block: s.Block,
-				Args:  append([]Value(nil), s.Args...),
+		c.Successors = carve(&s.succs, o.Successors)
+		for i := range c.Successors {
+			c.Successors[i].Args = carve(&s.values, o.Successors[i].Args)
+		}
+	}
+	return c
+}
+
+func (s *cloneSlabs) region(r *Region) *Region {
+	c := &take(&s.regions, 1)[0]
+	if len(r.Blocks) > 0 {
+		c.Blocks = take(&s.blockPtrs, len(r.Blocks))
+		for i, b := range r.Blocks {
+			nb := &take(&s.blocks, 1)[0]
+			nb.Label = b.Label
+			nb.Args = carve(&s.values, b.Args)
+			if len(b.Ops) > 0 {
+				nb.Ops = take(&s.opPtrs, len(b.Ops))
+				for j, op := range b.Ops {
+					nb.Ops[j] = s.op(op)
+				}
 			}
+			c.Blocks[i] = nb
 		}
 	}
 	return c
@@ -133,18 +241,6 @@ func (r *Region) Block(label string) *Block {
 	return nil
 }
 
-// Clone returns a deep copy of the region.
-func (r *Region) Clone() *Region {
-	c := &Region{}
-	if len(r.Blocks) > 0 {
-		c.Blocks = make([]*Block, len(r.Blocks))
-		for i, b := range r.Blocks {
-			c.Blocks[i] = b.Clone()
-		}
-	}
-	return c
-}
-
 // Block is a labelled sequence of operations with block arguments. The
 // final operation of a complete block is a terminator.
 type Block struct {
@@ -162,18 +258,6 @@ func (b *Block) Terminator() *Operation {
 		return nil
 	}
 	return b.Ops[len(b.Ops)-1]
-}
-
-// Clone returns a deep copy of the block.
-func (b *Block) Clone() *Block {
-	c := &Block{Label: b.Label, Args: append([]Value(nil), b.Args...)}
-	if len(b.Ops) > 0 {
-		c.Ops = make([]*Operation, len(b.Ops))
-		for i, op := range b.Ops {
-			c.Ops[i] = op.Clone()
-		}
-	}
-	return c
 }
 
 // Module is the root of an IR tree: a builtin.module operation holding a

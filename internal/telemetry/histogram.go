@@ -8,6 +8,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -123,8 +124,11 @@ func (h *Histogram) read() histSnapshot {
 func bucketBound(i int) uint64 { return 1 << (histMinShift + i) }
 
 // Quantile returns an upper bound on the q-quantile (q in [0,1]) of
-// the observed values: the bound of the first bucket at which the
-// cumulative count reaches q·count. With no observations it returns 0;
+// the observed values: the bound of the bucket holding the nearest-rank
+// observation, the first at which the cumulative count reaches
+// ceil(q·count), and at least 1. The rank is taken a hair below q·count
+// so that float error cannot push 0.99·100 to rank 100. With no
+// observations it returns 0;
 // if the quantile lands in the overflow bucket it returns the last
 // finite bound (the histogram cannot resolve beyond it).
 func (h *Histogram) Quantile(q float64) time.Duration {
@@ -137,7 +141,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	} else if q > 1 {
 		q = 1
 	}
-	target := uint64(q * float64(s.count))
+	target := uint64(math.Ceil(q * float64(s.count) * (1 - 1e-9)))
 	if target == 0 {
 		target = 1
 	}

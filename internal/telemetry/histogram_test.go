@@ -77,6 +77,33 @@ func TestHistogramQuantile(t *testing.T) {
 	if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
 		t.Fatal("out-of-range q not clamped")
 	}
+
+	// Small counts: the rank is the nearest rank ceil(q·count), never
+	// below 1. With n-1 fast observations and one slow one, p99 reads
+	// the slow bucket until ceil(0.99·n) falls to n-1, at n = 100.
+	const fast, slow = time.Duration(1024), time.Duration(1 << 20)
+	for _, c := range []struct {
+		n        int
+		p50, p99 time.Duration
+	}{
+		{1, slow, slow},
+		{2, fast, slow},
+		{99, fast, slow},
+		{100, fast, fast},
+		{101, fast, fast},
+	} {
+		var h Histogram
+		for i := 0; i < c.n-1; i++ {
+			h.Observe(500)
+		}
+		h.Observe(1 << 20)
+		if got := h.Quantile(0.5); got != c.p50 {
+			t.Errorf("n=%d: p50 = %v, want %v", c.n, got, c.p50)
+		}
+		if got := h.Quantile(0.99); got != c.p99 {
+			t.Errorf("n=%d: p99 = %v, want %v", c.n, got, c.p99)
+		}
+	}
 }
 
 func TestHistogramOverflow(t *testing.T) {
